@@ -33,7 +33,6 @@ from .solver import (
     CubeOperator,
     DEFAULT_SETTINGS,
     SolverSettings,
-    assemble_stiffness,
     harmonic_pool,
     operator,
     solve_dirichlet,

@@ -75,7 +75,7 @@ def _solver_settings(config: dict) -> SolverSettings:
                 block.get("direct_threshold", DEFAULT_SETTINGS.direct_threshold)
             ),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ParameterError) as exc:
         raise ConfigError(f"bad solver settings: {exc}") from exc
 
 

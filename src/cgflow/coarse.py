@@ -49,6 +49,12 @@ class CoarseGrainedPair:
         return json.dumps(self.to_json_dict())
 
 
+def _polarize(op, solutions) -> np.ndarray:
+    """Gram matrix (1/|cube|) w_i . K w_j of the solutions' nodal vectors."""
+    W = np.column_stack([s.values for s in solutions])
+    return W.T @ (op.stiffness @ W) / op.volume
+
+
 def coarse_pair(field: CoefficientField, cube: TriadicCube,
                 settings: SolverSettings = DEFAULT_SETTINGS) -> CoarseGrainedPair:
     """Compute (a(cube), a_*(cube)) by d Dirichlet and d Neumann solves.
@@ -69,28 +75,14 @@ def coarse_pair(field: CoefficientField, cube: TriadicCube,
         return pair
 
     op = operator(field, cube)
-    K = op.stiffness
-    vol = op.volume
     eye = np.eye(d)
-
-    wd = [op.solve_dirichlet(eye[i], settings) for i in range(d)]
-    a = np.empty((d, d))
-    for i in range(d):
-        kwi = K @ wd[i].values
-        for j in range(i, d):
-            a[i, j] = a[j, i] = kwi @ wd[j].values / vol
-
-    wn = [op.solve_neumann(eye[i], settings) for i in range(d)]
-    a_star_inv = np.empty((d, d))
-    for i in range(d):
-        kwi = K @ wn[i].values
-        for j in range(i, d):
-            a_star_inv[i, j] = a_star_inv[j, i] = kwi @ wn[j].values / vol
-
+    wd = [op.solve_dirichlet(e, settings) for e in eye]
+    wn = [op.solve_neumann(e, settings) for e in eye]
     residuals = tuple(s.residual for s in wd + wn)
     try:
-        a_mat = SpdMatrix(a)
-        a_star_mat = SpdMatrix(np.linalg.inv(a_star_inv))
+        a_mat = SpdMatrix(_polarize(op, wd))
+        a_star_inv = SpdMatrix(_polarize(op, wn))
+        a_star_mat = a_star_inv.inverse()
     except ParameterError as exc:
         raise ConsistencyError(f"coarse pair on {cube} is not SPD: {exc}") from exc
 

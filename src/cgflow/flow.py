@@ -17,33 +17,32 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ParameterError, PigeonholeDiagnosticError, ReliabilityError, CgflowError
-from .grid import EnsembleSpec, TriadicCube, generate, signed_permutations
+from .errors import (
+    ConsistencyError,
+    ConvergenceError,
+    ParameterError,
+    PigeonholeDiagnosticError,
+    ReliabilityError,
+)
+from .grid import EnsembleSpec, TriadicCube, generate
 from .solver import DEFAULT_SETTINGS
 from .coarse import coarse_pair
 from . import multiscale
 
 
 def _symmetrize(mat: np.ndarray) -> np.ndarray:
-    """Average R M R^T over the cube point group; preserves the trace."""
+    """Average R M R^T over the cube point group.  For symmetric M the average
+    commutes with every signed permutation, so by Schur's lemma it is
+    trace(M)/d times the identity."""
     d = mat.shape[0]
-    group = signed_permutations(d)
-    out = np.zeros_like(mat)
-    for r in group:
-        out += r @ mat @ r.T
-    out /= len(group)
-    tr0, tr1 = np.trace(mat), np.trace(out)
-    if abs(tr1 - tr0) > 1e-9 * max(abs(tr0), 1e-300):
-        raise ParameterError(
-            f"symmetrization changed the trace: {tr0!r} -> {tr1!r}"
-        )
-    return out
+    return np.trace(mat) / d * np.eye(d)
 
 
 def _sample_pairs(spec: EnsembleSpec, dimension: int, levels: tuple[int, ...],
                   sample_index: int, settings, symmetrize: bool, method: str):
     """One Monte Carlo sample: (a, a_*^{-1}) on the lower-corner cube at each
-    requested level.  Returns None if a solver error aborts the sample."""
+    requested level.  Returns None if a solve fails to converge or yields an
+    inconsistent pair; every other error propagates."""
     top = max(levels)
     sample_spec = spec.with_seed(spec.seed + sample_index)
     field = generate(sample_spec, dimension, top)
@@ -52,8 +51,6 @@ def _sample_pairs(spec: EnsembleSpec, dimension: int, levels: tuple[int, ...],
         for n in levels:
             cube = TriadicCube(n, (0,) * dimension)
             if method == "oracle":
-                if dimension != 1:
-                    raise ParameterError("the harmonic-mean oracle needs d = 1")
                 cells = field.cells_in(cube)[:, 0, 0]
                 ainv = float(np.mean(1.0 / cells))
                 a = np.array([[1.0 / ainv]])
@@ -67,7 +64,7 @@ def _sample_pairs(spec: EnsembleSpec, dimension: int, levels: tuple[int, ...],
                 ainv = _symmetrize(ainv)
             a_mats.append(a)
             ainv_mats.append(ainv)
-    except CgflowError:
+    except (ConvergenceError, ConsistencyError):
         return None
     return np.array(a_mats), np.array(ainv_mats)
 
@@ -229,6 +226,8 @@ def _run_samples(spec, dimension, levels, samples, settings, symmetrize,
                  method, workers, max_abort_fraction):
     if samples < 2:
         raise ParameterError("need at least 2 Monte Carlo samples")
+    if method == "oracle" and dimension != 1:
+        raise ParameterError("the harmonic-mean oracle needs d = 1")
     args = [
         (spec, dimension, levels, i, settings, symmetrize, method)
         for i in range(samples)

@@ -24,26 +24,66 @@ from .grid import CoefficientField, TriadicCube
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Linear-solver knobs: PCG above `direct_threshold` unknowns, dense
-    Cholesky at or below it.  max iterations = max_iter_factor * unknowns."""
+    """Linear-solver knobs shared by every block solve.
+
+    At or below `direct_threshold` unknowns a block is solved by dense
+    Cholesky; the Neumann system's gauge is then fixed by pinning node 0.
+    Above it, Jacobi-preconditioned CG runs to relative residual `tolerance`
+    within max_iter_factor * unknowns iterations; the singular Neumann system
+    is solved whole and its solution shifted to zero mean."""
 
     tolerance: float = 1e-10
     max_iter_factor: int = 10
     direct_threshold: int = 1000
 
+    def __post_init__(self):
+        if not self.tolerance > 0:
+            raise ParameterError(f"tolerance must be > 0, got {self.tolerance!r}")
+        if self.max_iter_factor < 1:
+            raise ParameterError(
+                f"max_iter_factor must be >= 1, got {self.max_iter_factor!r}"
+            )
+        if self.direct_threshold < 0:
+            raise ParameterError(
+                f"direct_threshold must be >= 0, got {self.direct_threshold!r}"
+            )
+
 
 DEFAULT_SETTINGS = SolverSettings()
 
 
-@dataclass
-class BlockSolution:
-    """Nodal potential on a cube plus its volume-normalized energy data."""
+def _solve_spd(A, b, settings: SolverSettings, singular: bool = False):
+    """Solve A x = b for a sparse SPD matrix A; returns (x, relative residual).
 
-    values: np.ndarray        # flat nodal vector, C-order over (side+1,)*d nodes
-    energy: float             # (1/|cube|) * int 1/2 grad w . a grad w
-    mean_gradient: np.ndarray
-    mean_flux: np.ndarray
-    residual: float
+    With `singular`, A is a Neumann stiffness matrix, semidefinite with the
+    constants as kernel, and b sums to zero; x is the zero-mean solution.
+    Dense Cholesky at or below `settings.direct_threshold` unknowns (n - 1
+    for the singular system, whose node 0 is pinned), Jacobi-PCG above."""
+    n = A.shape[0]
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return np.zeros(n), 0.0
+    pin = 1 if singular else 0
+    if n - pin <= settings.direct_threshold:
+        factor = scipy.linalg.cho_factor(A.toarray()[pin:, pin:], check_finite=False)
+        x = np.zeros(n)
+        x[pin:] = scipy.linalg.cho_solve(factor, b[pin:], check_finite=False)
+    else:
+        diag = A.diagonal()
+        M = scipy.sparse.linalg.LinearOperator((n, n), matvec=lambda v: v / diag)
+        x, info = scipy.sparse.linalg.cg(
+            A, b, rtol=settings.tolerance, atol=0.0,
+            maxiter=settings.max_iter_factor * n, M=M,
+        )
+        if info != 0:
+            res = float(np.linalg.norm(A @ x - b) / bnorm)
+            raise ConvergenceError(
+                f"PCG failed to converge (info={info}, residual {res:.3e})",
+                residual=res,
+            )
+    if singular:
+        x -= x.mean()
+    return x, float(np.linalg.norm(A @ x - b) / bnorm)
 
 
 @lru_cache(maxsize=None)
@@ -181,58 +221,15 @@ class CubeOperator:
 
     # -- linear solves ---------------------------------------------------
 
-    def _solve_spd(self, A, b, settings: SolverSettings):
-        """Solve the SPD system A x = b; returns (x, residual_norm)."""
-        n = A.shape[0]
-        bnorm = np.linalg.norm(b)
-        if bnorm == 0.0:
-            return np.zeros(n), 0.0
-        if n <= settings.direct_threshold:
-            c, low = scipy.linalg.cho_factor(A.toarray(), check_finite=False)
-            x = scipy.linalg.cho_solve((c, low), b, check_finite=False)
-        else:
-            diag = A.diagonal()
-            M = scipy.sparse.linalg.LinearOperator(
-                (n, n), matvec=lambda v: v / diag
-            )
-            x, info = scipy.sparse.linalg.cg(
-                A,
-                b,
-                rtol=settings.tolerance,
-                atol=0.0,
-                maxiter=settings.max_iter_factor * n,
-                M=M,
-            )
-            if info != 0:
-                res = np.linalg.norm(A @ x - b) / bnorm
-                raise ConvergenceError(
-                    f"PCG failed to converge (info={info}, residual {res:.3e})",
-                    residual=res,
-                )
-        res = float(np.linalg.norm(A @ x - b) / bnorm)
-        return x, res
-
     def solve_dirichlet_data(self, boundary_values: np.ndarray,
                              settings: SolverSettings = DEFAULT_SETTINGS) -> BlockSolution:
         """Energy minimizer among nodal functions with the given boundary values."""
         w = np.zeros(self.n_nodes)
         w[self.boundary_idx] = boundary_values
         ii = self.interior_idx
-        if len(ii) > 0:
-            K = self.stiffness
-            b = -(K @ w)[ii]
-            Kii = K[ii, :][:, ii]
-            x, res = self._solve_spd(scipy.sparse.csr_array(Kii), b, settings)
-            w[ii] = x
-        else:
-            res = 0.0
-        return BlockSolution(
-            values=w,
-            energy=self.energy(w),
-            mean_gradient=self.mean_gradient(w),
-            mean_flux=self.mean_flux(w),
-            residual=res,
-        )
+        K = self.stiffness
+        w[ii], res = _solve_spd(K[ii, :][:, ii], -(K @ w)[ii], settings)
+        return BlockSolution(self, w, res)
 
     def solve_dirichlet(self, p, settings: SolverSettings = DEFAULT_SETTINGS) -> BlockSolution:
         """Minimizer of the block energy over l_p + (zero boundary values)."""
@@ -242,42 +239,31 @@ class CubeOperator:
     def solve_neumann(self, q, settings: SolverSettings = DEFAULT_SETTINGS) -> BlockSolution:
         """Maximizer of (1/|cube|) int (q . grad w - 1/2 grad w . a grad w),
         gauge-fixed to zero mean.  The attained maximum is energy(w)."""
-        b = self.flux_load(q)
-        K = self.stiffness
-        n = self.n_nodes
-        bnorm = np.linalg.norm(b)
-        if bnorm == 0.0:
-            w = np.zeros(n)
-            res = 0.0
-        elif n - 1 <= settings.direct_threshold:
-            # Pin node 0; b sums to zero so the reduced system is consistent.
-            Kred = scipy.sparse.csr_array(K[1:, :][:, 1:])
-            x, _ = self._solve_spd(Kred, b[1:], settings)
-            w = np.concatenate(([0.0], x))
-            w -= w.mean()
-            res = float(np.linalg.norm(K @ w - b) / bnorm)
-        else:
-            diag = K.diagonal()
-            M = scipy.sparse.linalg.LinearOperator((n, n), matvec=lambda v: v / diag)
-            w, info = scipy.sparse.linalg.cg(
-                K, b, rtol=settings.tolerance, atol=0.0,
-                maxiter=settings.max_iter_factor * n, M=M,
-            )
-            res = float(np.linalg.norm(K @ w - b) / bnorm)
-            if info != 0:
-                raise ConvergenceError(
-                    f"PCG failed to converge on Neumann system (info={info}, "
-                    f"residual {res:.3e})",
-                    residual=res,
-                )
-            w = w - w.mean()
-        return BlockSolution(
-            values=w,
-            energy=self.energy(w),
-            mean_gradient=self.mean_gradient(w),
-            mean_flux=self.mean_flux(w),
-            residual=res,
-        )
+        w, res = _solve_spd(self.stiffness, self.flux_load(q), settings, singular=True)
+        return BlockSolution(self, w, res)
+
+
+@dataclass
+class BlockSolution:
+    """Nodal potential on a cube with the relative residual of its solve;
+    the volume-normalized energy data are quadratures on demand."""
+
+    operator: CubeOperator
+    values: np.ndarray        # flat nodal vector, C-order over (side+1,)*d nodes
+    residual: float
+
+    @property
+    def energy(self) -> float:
+        """(1/|cube|) * int 1/2 grad w . a grad w."""
+        return self.operator.energy(self.values)
+
+    @property
+    def mean_gradient(self) -> np.ndarray:
+        return self.operator.mean_gradient(self.values)
+
+    @property
+    def mean_flux(self) -> np.ndarray:
+        return self.operator.mean_flux(self.values)
 
 
 def operator(field: CoefficientField, cube: TriadicCube) -> CubeOperator:
@@ -288,10 +274,6 @@ def operator(field: CoefficientField, cube: TriadicCube) -> CubeOperator:
         op = CubeOperator(field, cube)
         field._cache[key] = op
     return op
-
-
-def assemble_stiffness(field: CoefficientField, cube: TriadicCube):
-    return operator(field, cube).stiffness
 
 
 def solve_dirichlet(field, cube, p, settings=DEFAULT_SETTINGS) -> BlockSolution:
@@ -310,14 +292,7 @@ def solve_v(field, cube, p, q, settings=DEFAULT_SETTINGS) -> BlockSolution:
     p = np.asarray(p, dtype=float)
     wd = op.solve_dirichlet(-p, settings)
     wn = op.solve_neumann(q, settings)
-    w = wd.values + wn.values
-    return BlockSolution(
-        values=w,
-        energy=op.energy(w),
-        mean_gradient=op.mean_gradient(w),
-        mean_flux=op.mean_flux(w),
-        residual=max(wd.residual, wn.residual),
-    )
+    return BlockSolution(op, wd.values + wn.values, max(wd.residual, wn.residual))
 
 
 def harmonic_pool(field, cube, count, seed, settings=DEFAULT_SETTINGS,

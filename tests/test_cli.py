@@ -134,15 +134,66 @@ def test_flow_sweep(tmp_path, capsys):
     assert (tmp_path / "sw" / "flow_theta_4.csv").exists()
 
 
-def test_flow_reliability_failure_is_exit_3(tmp_path, capsys):
-    # The 1d oracle cannot run in d=2: every sample aborts.
+def test_flow_oracle_in_2d_is_config_error(tmp_path, capsys):
+    # The 1d harmonic-mean oracle cannot run in d=2; rejected before sampling.
     cfg = write_config(tmp_path, "f.json", {
         "dimension": 2,
         "ensemble": {"kind": "constant", "params": {"value": 1.0}},
         "max_level": 1, "samples": 2, "method": "oracle",
     })
-    assert main(["flow", "--config", cfg]) == 3
-    assert json.loads(capsys.readouterr().err)["error"] == "ReliabilityError"
+    assert main(["flow", "--config", cfg]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+
+
+def test_flow_reliability_failure_is_exit_3(tmp_path, capsys):
+    # One CG iteration per unknown cannot reach 1e-14 at contrast 1e4: every
+    # sample aborts with a ConvergenceError.
+    cfg = write_config(tmp_path, "f.json", {
+        "dimension": 1,
+        "ensemble": {
+            "kind": "two_phase_iid",
+            "params": {"prob_hi": 0.5, "sigma_hi": 100.0, "sigma_lo": 0.01},
+            "seed": 3,
+        },
+        "max_level": 3, "samples": 4,
+        "solver": {"tolerance": 1e-14, "max_iter_factor": 1, "direct_threshold": 1},
+    })
+    assert main(["flow", "--config", cfg, "--threads", "1"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ReliabilityError"
+    assert err["message"].startswith("4 of 4 samples aborted")
+
+
+@pytest.mark.parametrize("solver", [
+    {"max_iter_factor": 0}, {"tolerance": 0.0}, {"direct_threshold": -1},
+])
+def test_solver_settings_that_skip_the_solve_are_rejected(tmp_path, capsys, solver):
+    # max_iter_factor 0 would let CG report success without iterating.
+    cfg = write_config(tmp_path, "c.json", dict(COARSE_1D, solver=solver))
+    assert main(["coarse-grain", "--config", cfg]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert next(iter(solver)) in err["message"]
+
+
+def test_flow_output_bytes_do_not_depend_on_threads(tmp_path, capsys):
+    cfg = write_config(tmp_path, "f.json", {
+        "dimension": 2,
+        "ensemble": {
+            "kind": "two_phase_iid",
+            "params": {"prob_hi": 0.5, "sigma_hi": 10.0, "sigma_lo": 0.1},
+            "seed": 5,
+        },
+        "max_level": 2, "samples": 4,
+    })
+    for threads in ("1", "2"):
+        assert main(["flow", "--config", cfg, "--out", str(tmp_path / threads),
+                     "--threads", threads]) == 0
+    capsys.readouterr()
+    for name in ("flow.csv", "flow.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (
+            tmp_path / "2" / name
+        ).read_bytes()
 
 
 def test_constants_budget_error_is_exit_4(tmp_path, capsys):

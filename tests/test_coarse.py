@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from cgflow import (
+    BlockSolution,
     CoarseGrainedPair,
+    CubeOperator,
     EnsembleSpec,
     TriadicCube,
     coarse_pair,
@@ -24,7 +26,7 @@ from cgflow.coarse import (
     response_defect,
     second_variation_sides,
 )
-from cgflow.errors import ParameterError
+from cgflow.errors import ConsistencyError, ParameterError
 
 
 def lognormal_field(d, m, seed=0, sigma=0.8):
@@ -225,3 +227,15 @@ def test_pair_on_interior_subcube():
     pair2 = coarse_pair(g, g.cube)
     np.testing.assert_allclose(pair.a.entries, pair2.a.entries, atol=1e-10)
     np.testing.assert_allclose(pair.a_star.entries, pair2.a_star.entries, atol=1e-10)
+
+
+def test_degenerate_neumann_solutions_are_consistency_error(monkeypatch):
+    # Zero Neumann potentials give a_*^{-1} = 0; the pair is reported as
+    # inconsistent instead of failing inside the inversion.
+    monkeypatch.setattr(
+        CubeOperator, "solve_neumann",
+        lambda self, q, settings: BlockSolution(self, np.zeros(self.n_nodes), 0.0),
+    )
+    f = lognormal_field(2, 1, seed=21)
+    with pytest.raises(ConsistencyError):
+        coarse_pair(f, f.cube)

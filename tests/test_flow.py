@@ -11,6 +11,7 @@ from cgflow import (
     pigeonhole_select,
     run_flow,
     scale_from_record,
+    signed_permutations,
     synthetic_record,
     tau,
     tau_from_record,
@@ -30,11 +31,16 @@ def two_phase(hi, lo, p=0.5, seed=0):
 
 def test_symmetrize_preserves_trace_and_is_isotropic():
     rng = np.random.default_rng(0)
-    m = rng.standard_normal((2, 2))
-    m = m @ m.T + np.eye(2)
-    s = _symmetrize(m)
-    assert np.trace(s) == pytest.approx(np.trace(m), rel=1e-12)
-    np.testing.assert_allclose(s, np.trace(m) / 2.0 * np.eye(2), atol=1e-12)
+    for d in (1, 2, 3):
+        m = rng.standard_normal((d, d))
+        m = m @ m.T + np.eye(d)
+        s = _symmetrize(m)
+        assert np.trace(s) == pytest.approx(np.trace(m), rel=1e-12)
+        np.testing.assert_allclose(s, np.trace(m) / d * np.eye(d), atol=1e-12)
+        # The closed form is the average over the cube point group.
+        group = signed_permutations(d)
+        avg = sum(r @ m @ r.T for r in group) / len(group)
+        np.testing.assert_allclose(s, avg, atol=1e-12)
 
 
 # -- estimate_annealed ---------------------------------------------------

@@ -12,7 +12,7 @@ from cgflow import (
     solve_neumann,
     solve_v,
 )
-from cgflow.errors import PreconditionError
+from cgflow.errors import ConvergenceError, PreconditionError
 
 
 def lognormal_field(d, m, seed=0, sigma=0.8):
@@ -124,6 +124,19 @@ def test_iterative_path_matches_direct():
     qa = solve_neumann(f, f.cube, [1.0, 1.0], tight)
     qb = solve_neumann(f, f.cube, [1.0, 1.0], loose)
     np.testing.assert_allclose(qa.values, qb.values, atol=1e-7)
+
+
+def test_pcg_that_misses_tolerance_raises_with_residual():
+    # One iteration per unknown cannot reach 1e-14 at contrast 1e4.
+    spec = EnsembleSpec(
+        "two_phase_iid", {"prob_hi": 0.5, "sigma_hi": 100.0, "sigma_lo": 0.01}, 3
+    )
+    f = generate(spec, 1, 3)
+    settings = SolverSettings(tolerance=1e-14, max_iter_factor=1, direct_threshold=1)
+    for solve in (solve_dirichlet, solve_neumann):
+        with pytest.raises(ConvergenceError) as info:
+            solve(f, f.cube, [1.0], settings)
+        assert info.value.residual > settings.tolerance
 
 
 def test_solve_v_energy_decomposition():
