@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapacityError, ParameterError
 from .grid import CoefficientField, TriadicCube, subcubes
@@ -21,6 +22,8 @@ from .coarse import coarse_pair
 
 INF = math.inf
 DEFAULT_BUDGET_CAP = 2_000_000
+# Elements of window data held at once by besov_positive's slab reduction.
+_SLAB_ELEMENTS = 2 ** 16
 
 
 def c_exp(u: float) -> float:
@@ -83,7 +86,7 @@ def _as_vector_grid(f: np.ndarray, dimension: int) -> np.ndarray:
 
 
 def _coarsen_mean(f: np.ndarray, dimension: int) -> np.ndarray:
-    """Average vector cell data over 3^d blocks, halving... reducing side by 3."""
+    """Average vector cell data over aligned 3^d blocks, reducing the side by 3."""
     n = f.shape[0]
     v = f.shape[-1]
     shape = []
@@ -93,6 +96,18 @@ def _coarsen_mean(f: np.ndarray, dimension: int) -> np.ndarray:
     g = f.reshape(shape)
     axes = tuple(2 * i + 1 for i in range(dimension))
     return g.mean(axis=axes)
+
+
+def _scale_sum(a, u: float, q: float, min_level=0) -> float:
+    """(sum_k (3^(u*k) a_k)^q)^(1/q) over the levels k = 0..len(a)-1, or the
+    max at q = inf.  The sub-unit levels k in [min_level, -1] repeat a_0 and are
+    added in closed form (every k < 0 when min_level is None); callers with a
+    tail have u > 0, so those levels never set the max."""
+    terms = 3.0 ** (u * np.arange(len(a))) * np.asarray(a, dtype=float)
+    if q == INF:
+        return float(terms.max())
+    total = np.sum(terms ** q) + _subunit_geometric(u * q, min_level) * a[0] ** q
+    return float(total ** (1.0 / q))
 
 
 def besov_ring(f, dimension: int, s: float, p: float, q: float,
@@ -122,23 +137,36 @@ def besov_ring(f, dimension: int, s: float, p: float, q: float,
             inner.append(float(np.mean(norms ** p) ** (1.0 / p)))
         if k < m:
             g = _coarsen_mean(g, dimension)
+    return _scale_sum(inner, s, q, min_level)
 
-    if q == INF:
-        best = 0.0
-        for k in range(m + 1):
-            best = max(best, 3.0 ** (s * k) * inner[k])
-        # Sub-unit levels repeat inner[0] with a smaller 3^(s*k) factor.
-        return best
-    total = sum(3.0 ** (s * q * k) * inner[k] ** q for k in range(m + 1))
-    total += _subunit_geometric(s * q, min_level) * inner[0] ** q
-    return float(total ** (1.0 / q))
+
+def _window_oscillation(g: np.ndarray, dimension: int, side: int, step: int,
+                        p: float) -> float:
+    """Average over the cubic windows of `side` cells at stride `step` of the
+    window mean of |g - window mean|^p, reduced a slab of window rows at a time
+    so memory stays near _SLAB_ELEMENTS whatever the window count."""
+    windows = sliding_window_view(g, (side,) * dimension, axis=tuple(range(dimension)))
+    windows = windows[(slice(None, None, step),) * dimension]
+    # windows: (positions,)*d + (v,) + (side,)*d, all of one size.
+    cell_axes = tuple(range(dimension + 1, 2 * dimension + 1))
+    rows = max(1, _SLAB_ELEMENTS // windows[0].size)
+    total = 0.0
+    for lo in range(0, windows.shape[0], rows):
+        slab = windows[lo:lo + rows]
+        dev = np.linalg.norm(slab - slab.mean(axis=cell_axes, keepdims=True),
+                             axis=dimension)
+        total += float(np.sum(dev ** p))
+    return total / (windows.size // windows.shape[dimension])
 
 
 def besov_positive(g, dimension: int, s: float, p: float, q: float) -> float:
     """Positive Besov seminorm with centered block oscillations; blocks of side
-    3^k live on the half-step offset grid 3^(k-1) Z^d.  The k-sum truncates at
-    the unit scale: centered averages of cell-constant data carry no
-    sub-unit contribution under the lattice cutoff convention."""
+    3^k live on the half-step offset grid 3^(k-1) Z^d.  Each block is an
+    unweighted window on the grid refined by 3 per axis (side 3, stride 1 at
+    k = 0) or, at k >= 1, a union of whole cells (side 3^k, stride 3^(k-1)),
+    reduced in bounded slabs.  The k-sum truncates at the unit scale: centered
+    averages of cell-constant data carry no sub-unit contribution under the
+    lattice cutoff convention."""
     if not (0.0 < s < 1.0):
         raise ParameterError("s must lie in (0, 1)")
     if not (1.0 <= p) or p == INF:
@@ -151,40 +179,13 @@ def besov_positive(g, dimension: int, s: float, p: float, q: float) -> float:
     if n != 3 ** m:
         raise ParameterError(f"cell data side {n} is not a power of 3")
 
-    terms = []
-    for k in range(m + 1):
-        side_r = 3 ** (k + 1)   # cube side in thirds of a unit cell
-        step_r = 3 ** k         # offset spacing in thirds
-        domain_r = 3 ** (m + 1)
-        positions = list(range(0, domain_r - side_r + 1, step_r))
-        vals = []
-        for z in np.ndindex(*([len(positions)] * dimension)):
-            zr = [positions[zi] for zi in z]
-            # Per-axis cell weights: length of the cube's overlap with each cell.
-            axis_cells = []
-            axis_weights = []
-            for a in range(dimension):
-                lo, hi = zr[a], zr[a] + side_r
-                c0, c1 = lo // 3, (hi - 1) // 3
-                cells = np.arange(c0, c1 + 1)
-                w = np.minimum(hi, 3 * (cells + 1)) - np.maximum(lo, 3 * cells)
-                axis_cells.append(cells)
-                axis_weights.append(w / 3.0)
-            block = g[np.ix_(*axis_cells)]
-            wgt = axis_weights[0]
-            for a in range(1, dimension):
-                wgt = np.multiply.outer(wgt, axis_weights[a])
-            vol = wgt.sum()
-            mean = np.tensordot(wgt, block, axes=dimension) / vol
-            dev = np.linalg.norm(block - mean, axis=-1)
-            vals.append(float((wgt * dev ** p).sum() / vol))
-        avg = float(np.mean(vals))
-        terms.append((k, avg))
-
-    if q == INF:
-        return max(3.0 ** (-s * k) * v ** (1.0 / p) for k, v in terms)
-    total = sum(3.0 ** (-s * q * k) * v ** (q / p) for k, v in terms)
-    return float(total ** (1.0 / q))
+    refined = g
+    for ax in range(dimension):
+        refined = np.repeat(refined, 3, axis=ax)
+    levels = [(refined, 3, 1)] + [(g, 3 ** k, 3 ** (k - 1)) for k in range(1, m + 1)]
+    inner = [_window_oscillation(grid, dimension, side, step, p) ** (1.0 / p)
+             for grid, side, step in levels]
+    return _scale_sum(inner, -s, q)
 
 
 @dataclass
@@ -253,23 +254,12 @@ def ellipticity_constants(lad: MultiscaleLadder, exps: ExponentSet,
     """(Lambda_{s,q}, lambda_{t,q}) from the ladder maxima, with the exact
     sub-unit tail (sub-unit coarse matrices equal the cell matrices)."""
     m = lad.top_level
-    X = lad.max_a_norm
-    Y = lad.max_a_star_inv_norm
     s, t, q = exps.s, exps.t, exps.q
-    if q == INF:
-        lam_big = max(3.0 ** (-2 * s * (m - k)) * X[k] for k in range(m + 1))
-        lam_small = max(3.0 ** (-2 * t * (m - k)) * Y[k] for k in range(m + 1))
-        return float(lam_big), float(1.0 / lam_small)
-    # Finite q: tails repeat the unit-scale maxima.
-    tail_s = 3.0 ** (-s * q * m) * _subunit_geometric(s * q, min_level)
-    tail_t = 3.0 ** (-t * q * m) * _subunit_geometric(t * q, min_level)
-    big = sum(3.0 ** (-s * q * (m - k)) * X[k] ** (q / 2) for k in range(m + 1))
-    big += tail_s * X[0] ** (q / 2)
-    small = sum(3.0 ** (-t * q * (m - k)) * Y[k] ** (q / 2) for k in range(m + 1))
-    small += tail_t * Y[0] ** (q / 2)
-    Lambda = (exps.c_sq * big) ** (2.0 / q)
-    lam = (exps.c_tq * small) ** (-2.0 / q)
-    return float(Lambda), float(lam)
+    big = exps.c_sq ** (1.0 / q) * 3.0 ** (-s * m) * _scale_sum(
+        np.sqrt(lad.max_a_norm), s, q, min_level)
+    small = exps.c_tq ** (1.0 / q) * 3.0 ** (-t * m) * _scale_sum(
+        np.sqrt(lad.max_a_star_inv_norm), t, q, min_level)
+    return float(big ** 2), float(small ** -2)
 
 
 def defect_quadratic_forms(a_arr, ainv_arr, abar: np.ndarray) -> np.ndarray:
@@ -304,21 +294,13 @@ def multiscale_defect(lad: MultiscaleLadder, abar, s: float, q: float,
     m = lad.top_level
     jmax = np.array(
         [
-            max(
-                float(
-                    defect_quadratic_forms(lad.a_all[k], lad.a_star_inv_all[k], abar).max()
-                ),
-                0.0,
-            )
+            defect_quadratic_forms(lad.a_all[k], lad.a_star_inv_all[k], abar).max()
             for k in range(m + 1)
         ]
     )
-    if q == INF:
-        return float(max(3.0 ** (-s * (m - k)) * jmax[k] ** 0.5 for k in range(m + 1)))
-    csq = c_exp(s * q)
-    total = sum(3.0 ** (-s * q * (m - k)) * jmax[k] ** (q / 2) for k in range(m + 1))
-    total += 3.0 ** (-s * q * m) * _subunit_geometric(s * q, min_level) * jmax[0] ** (q / 2)
-    return float((csq * total) ** (1.0 / q))
+    return float(
+        c_exp(s * q) ** (1.0 / q) * 3.0 ** (-s * m) * _scale_sum(np.sqrt(jmax), s, q, min_level)
+    )
 
 
 def cg_poincare_check(field: CoefficientField, cube: TriadicCube, u: np.ndarray,

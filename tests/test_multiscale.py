@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,12 +159,25 @@ def test_positive_vanishes_on_constants():
 
 def test_positive_matches_refined_grid_oracle():
     rng = np.random.default_rng(4)
-    for d, m in ((1, 1), (1, 2), (2, 1)):
-        g = rng.standard_normal((3 ** m,) * d)
-        for s, p, q in ((0.25, 2.0, 2.0), (0.4, 2.0, 1.0), (0.3, 2.0, INF)):
+    for d, m, v in ((1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 1, 2), (3, 1, 1)):
+        g = rng.standard_normal((3 ** m,) * d + ((v,) if v > 1 else ()))
+        for s, p, q in ((0.25, 2.0, 2.0), (0.4, 2.0, 1.0), (0.3, 2.0, INF),
+                        (0.25, 1.0, 2.0), (0.3, 3.0, 1.0), (0.4, 3.0, INF)):
             mine = besov_positive(g, d, s, p, q)
             ref = brute_positive(g, d, s, p, q)
             assert mine == pytest.approx(ref, rel=1e-11)
+
+
+def test_positive_memory_is_bounded_in_3d():
+    # The unchunked window form of this call holds ~450 MiB at once.
+    g = np.random.default_rng(12).lognormal(0.0, 1.0, size=(27,) * 3)
+    tracemalloc.start()
+    try:
+        besov_positive(g, 3, 0.25, 3.0, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_positive_scales_linearly():
