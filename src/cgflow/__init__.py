@@ -34,7 +34,6 @@ from .solver import (
     DEFAULT_SETTINGS,
     SolverSettings,
     harmonic_pool,
-    operator,
     solve_dirichlet,
     solve_neumann,
     solve_v,

@@ -27,7 +27,7 @@ from .errors import (
     ReliabilityError,
 )
 from .grid import EnsembleSpec, TriadicCube, generate, root_cube
-from .solver import DEFAULT_SETTINGS, SolverSettings, harmonic_pool, operator, solve_v
+from .solver import DEFAULT_SETTINGS, CubeOperator, SolverSettings, harmonic_pool, solve_v
 from .coarse import (
     coarse_pair,
     energy_map_check,
@@ -98,10 +98,17 @@ def _dimension(config: dict) -> int:
     return int(d)
 
 
-def _positive_int(config: dict, key: str, minimum: int = 0) -> int:
-    v = config[key]
+def _positive_int(config: dict, key: str, minimum: int = 0, default=None) -> int:
+    v = config.get(key, default)
     if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
         raise ConfigError(f"{key} must be an integer >= {minimum}, got {v!r}")
+    return v
+
+
+def _min_level(config: dict):
+    v = config.get("min_level")
+    if v is not None and (not isinstance(v, int) or isinstance(v, bool) or v > 0):
+        raise ConfigError(f"min_level must be an integer <= 0, got {v!r}")
     return v
 
 
@@ -244,8 +251,9 @@ def cmd_constants(config: dict, out_dir, threads: int, seed_override) -> int:
         )
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
-    min_level = config.get("min_level")
-    budget_cap = config.get("budget_cap", multiscale.DEFAULT_BUDGET_CAP)
+    min_level = _min_level(config)
+    budget_cap = _positive_int(config, "budget_cap", minimum=1,
+                               default=multiscale.DEFAULT_BUDGET_CAP)
 
     field = generate(spec, d, level)
     cube = field.cube
@@ -302,7 +310,7 @@ def cmd_besov(config: dict, out_dir, threads: int, seed_override) -> int:
     grid = cells.reshape((n,) * d + (v,))
     try:
         if kind == "ring":
-            value = multiscale.besov_ring(grid, d, s, p, q, config.get("min_level"))
+            value = multiscale.besov_ring(grid, d, s, p, q, _min_level(config))
         else:
             value = multiscale.besov_positive(grid, d, s, p, q)
     except ParameterError as exc:
@@ -394,7 +402,7 @@ def run_verification(seed: int, cases: int, dimensions=(1, 2), max_level: int = 
              lower=-tol)
 
         w = harmonic_pool(field, cube, 1, seed=seed + cube.level)[0]
-        wref = max(2.0 * operator(field, cube).energy(w), 1e-12)
+        wref = max(2.0 * CubeOperator(field, cube).energy(w), 1e-12)
         lhs, rhs = response_defect(field, cube, w, settings)
         note("response_map", (rhs - lhs) / wref, lower=-tol)
         lhs, rhs = fluxmap_sides(field, cube, w, p, q, settings)
@@ -429,10 +437,10 @@ def cmd_verify(config: dict, out_dir, threads: int, seed_override) -> int:
     if seed_override is not None:
         seed = seed_override
     cases = _positive_int(config, "cases")
-    dims = tuple(config.get("dimensions", [1, 2]))
-    if not dims or any(d not in (1, 2, 3) for d in dims):
-        raise ConfigError(f"dimensions must be a nonempty subset of [1,2,3], got {dims}")
-    max_level = int(config.get("max_level", 2))
+    dims = config.get("dimensions", [1, 2])
+    if not isinstance(dims, list) or not dims or any(d not in (1, 2, 3) for d in dims):
+        raise ConfigError(f"dimensions must be a nonempty subset of [1,2,3], got {dims!r}")
+    max_level = _positive_int(config, "max_level", minimum=1, default=2)
     fault = config.get("inject_fault")
     if fault is not None and fault != "ordering":
         raise ConfigError(f"unknown inject_fault mode {fault!r}")

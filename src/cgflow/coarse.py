@@ -1,23 +1,26 @@
 """Coarse-grained matrix pair, the J functional, and the exact identities.
 
 The Dirichlet matrix a(cube) and the Neumann matrix a_*(cube) are extracted
-by polarization from d solves each.  Everything downstream (J, response map,
-energy maps, subadditivity defects) is algebra on the resulting pair plus
-quadratures of block solutions.
+by polarization from one d-column block solve each.  Everything downstream (J,
+response map, energy maps, subadditivity defects) is algebra on the resulting
+pair plus quadratures of block solutions.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConsistencyError, ParameterError
 from .grid import CoefficientField, SpdMatrix, TriadicCube, subcubes
-from .solver import DEFAULT_SETTINGS, SolverSettings, operator
+from .solver import DEFAULT_SETTINGS, CubeOperator, SolverSettings
 
 ORDER_TOL = 1e-9
+
+_PAIRS = weakref.WeakKeyDictionary()  # live field -> {(cube, settings): pair}
 
 
 @dataclass(frozen=True)
@@ -49,39 +52,33 @@ class CoarseGrainedPair:
         return json.dumps(self.to_json_dict())
 
 
-def _polarize(op, solutions) -> np.ndarray:
-    """Gram matrix (1/|cube|) w_i . K w_j of the solutions' nodal vectors."""
-    W = np.column_stack([s.values for s in solutions])
+def _polarize(op, W: np.ndarray) -> np.ndarray:
+    """Gram matrix (1/|cube|) w_i . K w_j of the nodal columns of W."""
     return W.T @ (op.stiffness @ W) / op.volume
 
 
 def coarse_pair(field: CoefficientField, cube: TriadicCube,
                 settings: SolverSettings = DEFAULT_SETTINGS) -> CoarseGrainedPair:
-    """Compute (a(cube), a_*(cube)) by d Dirichlet and d Neumann solves.
+    """Compute (a(cube), a_*(cube)) by one Dirichlet and one Neumann solve,
+    each with the d unit vectors as right-hand sides.
 
-    Results are memoized on the field, keyed by the cube.  A unit cell needs
-    no solve: both matrices equal the cell matrix exactly.
+    Results are memoized per field while it lives, keyed by cube and settings.
+    A unit cell needs no solve: both matrices equal the cell matrix exactly.
     """
-    key = ("pair", cube.level, cube.offset, settings)
-    hit = field._cache.get(key)
-    if hit is not None:
-        return hit
-
-    d = field.dimension
     if cube.level == 0:
         mat = SpdMatrix(field.cell(cube.offset))
-        pair = CoarseGrainedPair(cube, mat, mat, (0.0,))
-        field._cache[key] = pair
-        return pair
+        return CoarseGrainedPair(cube, mat, mat, (0.0, 0.0))
+    memo = _PAIRS.setdefault(field, {})
+    if (cube, settings) in memo:
+        return memo[cube, settings]
 
-    op = operator(field, cube)
-    eye = np.eye(d)
-    wd = [op.solve_dirichlet(e, settings) for e in eye]
-    wn = [op.solve_neumann(e, settings) for e in eye]
-    residuals = tuple(s.residual for s in wd + wn)
+    op = CubeOperator(field, cube)
+    eye = np.eye(field.dimension)
+    wd = op.solve_dirichlet(eye, settings)
+    wn = op.solve_neumann(eye, settings)
     try:
-        a_mat = SpdMatrix(_polarize(op, wd))
-        a_star_inv = SpdMatrix(_polarize(op, wn))
+        a_mat = SpdMatrix(_polarize(op, wd.values))
+        a_star_inv = SpdMatrix(_polarize(op, wn.values))
         a_star_mat = a_star_inv.inverse()
     except ParameterError as exc:
         raise ConsistencyError(f"coarse pair on {cube} is not SPD: {exc}") from exc
@@ -91,8 +88,8 @@ def coarse_pair(field: CoefficientField, cube: TriadicCube,
         raise ConsistencyError(
             f"ordering a_* <= a violated on {cube}: min gap eigenvalue {gap_min:.3e}"
         )
-    pair = CoarseGrainedPair(cube, a_mat, a_star_mat, residuals)
-    field._cache[key] = pair
+    pair = CoarseGrainedPair(cube, a_mat, a_star_mat, (wd.residual, wn.residual))
+    memo[cube, settings] = pair
     return pair
 
 
@@ -127,7 +124,7 @@ def response_defect(field, cube, w, settings=DEFAULT_SETTINGS,
                     harmonic_tol=1e-6) -> tuple[float, float]:
     """Both sides of the response-map bound for a discrete a-harmonic w:
     |mean flux - a_* mean grad| <= |a - a_*|^(1/2) (mean grad.a grad)^(1/2)."""
-    op = operator(field, cube)
+    op = CubeOperator(field, cube)
     op.require_harmonic(w, harmonic_tol)
     pair = coarse_pair(field, cube, settings)
     g = op.mean_gradient(w)
@@ -143,7 +140,7 @@ def energy_map_check(field, cube, w, flux=True, settings=DEFAULT_SETTINGS,
     """Returns (grad_side, energy, flux_side): both coarse quadratic forms
     bound the block energy from below; the a_* form in the mean gradient holds
     for any w, the a^{-1} form in the mean flux requires w a-harmonic."""
-    op = operator(field, cube)
+    op = CubeOperator(field, cube)
     pair = coarse_pair(field, cube, settings)
     g = op.mean_gradient(w)
     energy = op.energy(w)
@@ -160,7 +157,7 @@ def energy_map_check(field, cube, w, flux=True, settings=DEFAULT_SETTINGS,
 def first_variation_sides(field, cube, w, p, q, v_solution) -> tuple[float, float]:
     """(q . mean grad w - p . mean flux w, mean grad w . a grad v); equal for
     discrete a-harmonic w."""
-    op = operator(field, cube)
+    op = CubeOperator(field, cube)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     lhs = float(q @ op.mean_gradient(w) - p @ op.mean_flux(w))
@@ -173,7 +170,7 @@ def second_variation_sides(field, cube, w, p, q, v_solution,
     """(J - objective(w), energy of v - w); equal for discrete a-harmonic w,
     where objective(w) = mean(-1/2 grad w.a grad w - p.a grad w + q.grad w)
     is the quantity the maximizer v optimizes."""
-    op = operator(field, cube)
+    op = CubeOperator(field, cube)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     j = j_functional(field, cube, p, q, settings)
@@ -187,7 +184,7 @@ def second_variation_sides(field, cube, w, p, q, v_solution,
 def fluxmap_sides(field, cube, w, p, q, settings=DEFAULT_SETTINGS) -> tuple[float, float]:
     """Cauchy-Schwarz flux-map bound:
     |mean(p.a grad w - q.grad w)| <= (2J)^(1/2) (mean grad.a grad)^(1/2)."""
-    op = operator(field, cube)
+    op = CubeOperator(field, cube)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     lhs = abs(float(p @ op.mean_flux(w) - q @ op.mean_gradient(w)))

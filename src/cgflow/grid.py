@@ -182,7 +182,10 @@ class EnsembleSpec:
 
 
 class CoefficientField:
-    """Cell-wise constant SPD matrices on the cube of side 3**ambient_level."""
+    """Cell-wise constant SPD matrices on the cube of side 3**ambient_level.
+
+    Immutable and holds no cache; memoized results live with the code that
+    computes them."""
 
     def __init__(self, dimension, ambient_level, cells, metadata=None):
         if dimension not in (1, 2, 3):
@@ -203,7 +206,6 @@ class CoefficientField:
         self.ambient_level = ambient_level
         self.cells = cells
         self.metadata = dict(metadata or {})
-        self._cache = {}
 
     @property
     def side(self) -> int:
@@ -334,14 +336,6 @@ def dihedral_conjugate(field: CoefficientField, perm) -> CoefficientField:
     meta = dict(field.metadata)
     meta["dihedral_perm"] = list(perm)
     return CoefficientField(d, field.ambient_level, cells, meta)
-
-
-def inverse_permutation(perm) -> tuple[int, ...]:
-    perm = tuple(perm)
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return tuple(inv)
 
 
 def signed_permutations(d: int) -> list[np.ndarray]:

@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapacityError, ParameterError
 from .grid import CoefficientField, TriadicCube, subcubes
-from .solver import DEFAULT_SETTINGS, operator
+from .solver import DEFAULT_SETTINGS, CubeOperator
 from .coarse import coarse_pair
 
 INF = math.inf
@@ -213,12 +213,7 @@ class MultiscaleLadder:
 def ladder(field: CoefficientField, cube: TriadicCube,
            settings=DEFAULT_SETTINGS,
            budget_cap: int = DEFAULT_BUDGET_CAP) -> MultiscaleLadder:
-    """Coarse pairs on every subcube at every level 0..m, cached per cube."""
-    key = ("ladder", cube.level, cube.offset, settings)
-    hit = field._cache.get(key)
-    if hit is not None:
-        return hit
-
+    """Coarse pairs on every subcube at every level 0..m."""
     d = field.dimension
     m = cube.level
     total = sum(3 ** (d * (m - k)) for k in range(m + 1))
@@ -244,9 +239,7 @@ def ladder(field: CoefficientField, cube: TriadicCube,
 
     max_a = np.array([np.linalg.eigvalsh(arr)[:, -1].max() for arr in a_all])
     max_ainv = np.array([np.linalg.eigvalsh(arr)[:, -1].max() for arr in ainv_all])
-    lad = MultiscaleLadder(cube, a_all, ainv_all, max_a, max_ainv)
-    field._cache[key] = lad
-    return lad
+    return MultiscaleLadder(cube, a_all, ainv_all, max_a, max_ainv)
 
 
 def ellipticity_constants(lad: MultiscaleLadder, exps: ExponentSet,
@@ -311,7 +304,7 @@ def cg_poincare_check(field: CoefficientField, cube: TriadicCube, u: np.ndarray,
 
     The gradient line holds for every discrete function; the flux line needs
     u discrete a-harmonic."""
-    op = operator(field, cube)
+    op = CubeOperator(field, cube)
     lad = ladder(field, cube, settings)
     exps = ExponentSet(s, s, q)
     Lambda, lam = ellipticity_constants(lad, exps)
@@ -373,7 +366,7 @@ def weak_norm_diagnostics(field: CoefficientField, cube: TriadicCube,
     if not (0 <= k < m):
         raise ParameterError(f"base_level must lie in [0, {m})")
 
-    op = operator(field, cube)
+    op = CubeOperator(field, cube)
     lad = ladder(field, cube, settings)
     v = solve_v(field, cube, p, q_vec, settings)
     grid_shape = (cube.side,) * d + (d,)

@@ -52,38 +52,47 @@ class SolverSettings:
 DEFAULT_SETTINGS = SolverSettings()
 
 
-def _solve_spd(A, b, settings: SolverSettings, singular: bool = False):
-    """Solve A x = b for a sparse SPD matrix A; returns (x, relative residual).
+def _solve_spd(A, B, settings: SolverSettings, singular: bool = False):
+    """Solve A X = B for a sparse SPD matrix A and a block B with one
+    right-hand side per column (a vector is one column); returns X and the
+    worst column's relative residual.
 
     With `singular`, A is a Neumann stiffness matrix, semidefinite with the
-    constants as kernel, and b sums to zero; x is the zero-mean solution.
-    Dense Cholesky at or below `settings.direct_threshold` unknowns (n - 1
-    for the singular system, whose node 0 is pinned), Jacobi-PCG above."""
+    constants as kernel, and each column of B sums to zero; the columns of X
+    are the zero-mean solutions.  Dense Cholesky at or below
+    `settings.direct_threshold` unknowns (n - 1 for the singular system, whose
+    node 0 is pinned), one factorization for all columns; Jacobi-PCG above,
+    column by column.  Zero columns give zero solutions."""
     n = A.shape[0]
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(n), 0.0
+    rhs = np.reshape(B, (n, -1))
+    X = np.zeros(rhs.shape)
+    bnorm = np.linalg.norm(rhs, axis=0)
+    live = np.flatnonzero(bnorm)
+    if live.size == 0:
+        return X.reshape(np.shape(B)), 0.0
     pin = 1 if singular else 0
     if n - pin <= settings.direct_threshold:
         factor = scipy.linalg.cho_factor(A.toarray()[pin:, pin:], check_finite=False)
-        x = np.zeros(n)
-        x[pin:] = scipy.linalg.cho_solve(factor, b[pin:], check_finite=False)
+        X[pin:] = scipy.linalg.cho_solve(factor, rhs[pin:], check_finite=False)
     else:
         diag = A.diagonal()
         M = scipy.sparse.linalg.LinearOperator((n, n), matvec=lambda v: v / diag)
-        x, info = scipy.sparse.linalg.cg(
-            A, b, rtol=settings.tolerance, atol=0.0,
-            maxiter=settings.max_iter_factor * n, M=M,
-        )
-        if info != 0:
-            res = float(np.linalg.norm(A @ x - b) / bnorm)
-            raise ConvergenceError(
-                f"PCG failed to converge (info={info}, residual {res:.3e})",
-                residual=res,
+        for j in live:
+            X[:, j], info = scipy.sparse.linalg.cg(
+                A, rhs[:, j], rtol=settings.tolerance, atol=0.0,
+                maxiter=settings.max_iter_factor * n, M=M,
             )
+            if info != 0:
+                res = float(np.linalg.norm(A @ X[:, j] - rhs[:, j]) / bnorm[j])
+                raise ConvergenceError(
+                    f"PCG failed to converge (info={info}, residual {res:.3e})",
+                    residual=res,
+                )
     if singular:
-        x -= x.mean()
-    return x, float(np.linalg.norm(A @ x - b) / bnorm)
+        for column in X.T:  # each mean summed as for a single solve
+            column -= column.mean()
+    res = np.linalg.norm(A @ X - rhs, axis=0)[live] / bnorm[live]
+    return X.reshape(np.shape(B)), float(res.max())
 
 
 @lru_cache(maxsize=None)
@@ -122,7 +131,8 @@ class CubeOperator:
 
     Provides the stiffness matrix K with K[w, w] = sum over cells of
     int grad w . a_cell grad w, together with the quadratures needed for
-    energies, mean gradients and mean fluxes.
+    energies, mean gradients and mean fluxes.  Loads and solves also take a
+    block with one column per slope, flux or set of boundary values.
     """
 
     def __init__(self, field: CoefficientField, cube: TriadicCube):
@@ -199,9 +209,11 @@ class CubeOperator:
     def flux_load(self, q: np.ndarray) -> np.ndarray:
         """Load vector b_i = int q . grad phi_i over the cube."""
         q = np.asarray(q, dtype=float)
-        per_corner = self._avg_grad @ q  # (2^d,)
-        b = np.zeros(self.n_nodes)
-        np.add.at(b, self.cell_nodes.ravel(), np.tile(per_corner, self.n_cells))
+        per_corner = self._avg_grad @ q  # (2^d,) + q.shape[1:]
+        b = np.zeros((self.n_nodes,) + q.shape[1:])
+        # One value per index entry: ufunc.at misreads values it broadcasts.
+        values = np.tile(per_corner, (self.n_cells,) + (1,) * (q.ndim - 1))
+        np.add.at(b, self.cell_nodes.ravel(), values)
         return b
 
     def interior_residual(self, w: np.ndarray) -> float:
@@ -224,7 +236,7 @@ class CubeOperator:
     def solve_dirichlet_data(self, boundary_values: np.ndarray,
                              settings: SolverSettings = DEFAULT_SETTINGS) -> BlockSolution:
         """Energy minimizer among nodal functions with the given boundary values."""
-        w = np.zeros(self.n_nodes)
+        w = np.zeros((self.n_nodes,) + np.shape(boundary_values)[1:])
         w[self.boundary_idx] = boundary_values
         ii = self.interior_idx
         K = self.stiffness
@@ -245,11 +257,12 @@ class CubeOperator:
 
 @dataclass
 class BlockSolution:
-    """Nodal potential on a cube with the relative residual of its solve;
-    the volume-normalized energy data are quadratures on demand."""
+    """Nodal potential on a cube (one per column for a block solve) with the
+    worst relative residual of its solve; the volume-normalized energy data
+    of a single potential are quadratures on demand."""
 
     operator: CubeOperator
-    values: np.ndarray        # flat nodal vector, C-order over (side+1,)*d nodes
+    values: np.ndarray        # nodal vector(s), C-order over (side+1,)*d nodes
     residual: float
 
     @property
@@ -266,29 +279,19 @@ class BlockSolution:
         return self.operator.mean_flux(self.values)
 
 
-def operator(field: CoefficientField, cube: TriadicCube) -> CubeOperator:
-    """Memoized CubeOperator for (field, cube)."""
-    key = ("operator", cube.level, cube.offset)
-    op = field._cache.get(key)
-    if op is None:
-        op = CubeOperator(field, cube)
-        field._cache[key] = op
-    return op
-
-
 def solve_dirichlet(field, cube, p, settings=DEFAULT_SETTINGS) -> BlockSolution:
-    return operator(field, cube).solve_dirichlet(p, settings)
+    return CubeOperator(field, cube).solve_dirichlet(p, settings)
 
 
 def solve_neumann(field, cube, q, settings=DEFAULT_SETTINGS) -> BlockSolution:
-    return operator(field, cube).solve_neumann(q, settings)
+    return CubeOperator(field, cube).solve_neumann(q, settings)
 
 
 def solve_v(field, cube, p, q, settings=DEFAULT_SETTINGS) -> BlockSolution:
     """The combined maximizer: Dirichlet part with affine data l_{-p} plus the
     Neumann part with flux q.  Its volume-normalized energy equals J(cube, p, q)
     up to solver tolerance."""
-    op = operator(field, cube)
+    op = CubeOperator(field, cube)
     p = np.asarray(p, dtype=float)
     wd = op.solve_dirichlet(-p, settings)
     wn = op.solve_neumann(q, settings)
@@ -298,10 +301,7 @@ def solve_v(field, cube, p, q, settings=DEFAULT_SETTINGS) -> BlockSolution:
 def harmonic_pool(field, cube, count, seed, settings=DEFAULT_SETTINGS,
                   scale=1.0) -> list[np.ndarray]:
     """Seeded pool of discrete a-harmonic functions from random boundary data."""
-    op = operator(field, cube)
+    op = CubeOperator(field, cube)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    pool = []
-    for _ in range(count):
-        data = scale * rng.standard_normal(len(op.boundary_idx))
-        pool.append(op.solve_dirichlet_data(data, settings).values)
-    return pool
+    data = scale * rng.standard_normal((count, len(op.boundary_idx)))
+    return list(np.ascontiguousarray(op.solve_dirichlet_data(data.T, settings).values.T))

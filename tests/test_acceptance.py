@@ -13,6 +13,7 @@ import pytest
 
 import cgflow
 from cgflow import (
+    CubeOperator,
     EnsembleSpec,
     ExponentSet,
     besov_ring,
@@ -24,7 +25,6 @@ from cgflow import (
     j_functional,
     ladder,
     multiscale_defect,
-    operator,
     pigeonhole_select,
     run_flow,
     scale_from_record,
@@ -93,7 +93,7 @@ def test_criterion_2_inequalities():
                    0.5 * float(p @ p + q @ q), 1e-12)
         slacks.append(subadditivity_defect(field, cube, 0, p, q) / jref)
         w = harmonic_pool(field, cube, 1, seed=9000 + idx)[0]
-        wref = max(2.0 * operator(field, cube).energy(w), 1e-12)
+        wref = max(2.0 * CubeOperator(field, cube).energy(w), 1e-12)
         lhs, rhs = response_defect(field, cube, w)
         slacks.append((rhs - lhs) / wref)
         lhs, rhs = fluxmap_sides(field, cube, w, p, q)
@@ -125,7 +125,7 @@ def test_criterion_3_poincare_constants():
                 ok = ok and rep["gradient_ok"] and rep["flux_ok"]
     # Equality case: affine function on a constant field.
     cfield = generate(EnsembleSpec("constant", {"value": 3.0}), 2, 2)
-    u = operator(cfield, cfield.cube).affine(np.array([1.0, -2.0]))
+    u = CubeOperator(cfield, cfield.cube).affine(np.array([1.0, -2.0]))
     eq_err = 0.0
     for s, q in pairs_sq:
         rep = cg_poincare_check(cfield, cfield.cube, u, s, q)

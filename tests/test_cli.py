@@ -176,6 +176,39 @@ def test_solver_settings_that_skip_the_solve_are_rejected(tmp_path, capsys, solv
     assert next(iter(solver)) in err["message"]
 
 
+CONSTANTS_2D = {
+    "dimension": 2,
+    "ensemble": {"kind": "constant", "params": {"value": 1.0}},
+    "level": 1, "s": 0.25, "t": 0.25, "q": 2,
+}
+BESOV_RING = {
+    "dimension": 1, "s": 0.5, "p": 1, "q": 1,
+    "data": {"kind": "ring", "level": 0, "cells": [1.0]},
+}
+VERIFY = {"seed": 1, "cases": 1}
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("verify", dict(VERIFY, max_level=0), "max_level"),
+    ("verify", dict(VERIFY, max_level=1.5), "max_level"),
+    ("verify", dict(VERIFY, dimensions=2), "dimensions"),
+    ("constants", dict(CONSTANTS_2D, budget_cap="100"), "budget_cap"),
+    ("constants", dict(CONSTANTS_2D, budget_cap=0), "budget_cap"),
+    ("constants", dict(CONSTANTS_2D, min_level="-1"), "min_level"),
+    ("constants", dict(CONSTANTS_2D, min_level=1.5), "min_level"),
+    ("constants", dict(CONSTANTS_2D, min_level=2), "min_level"),
+    ("besov", dict(BESOV_RING, min_level="-1"), "min_level"),
+    ("besov", dict(BESOV_RING, min_level=1.5), "min_level"),
+    ("besov", dict(BESOV_RING, min_level=2), "min_level"),
+])
+def test_bad_integer_settings_are_config_errors(tmp_path, capsys, command, config, key):
+    cfg = write_config(tmp_path, "c.json", config)
+    assert main([command, "--config", cfg]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert key in err["message"]
+
+
 def test_flow_output_bytes_do_not_depend_on_threads(tmp_path, capsys):
     cfg = write_config(tmp_path, "f.json", {
         "dimension": 2,

@@ -1,18 +1,22 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from cgflow import (
     BlockSolution,
     CoarseGrainedPair,
+    CoefficientField,
     CubeOperator,
     EnsembleSpec,
     TriadicCube,
     coarse_pair,
+    dihedral_conjugate,
     generate,
     harmonic_pool,
     j_from_pair,
     j_functional,
-    operator,
     root_cube,
     solve_v,
     subadditivity_defect,
@@ -198,7 +202,7 @@ def test_energy_maps_bound_block_energy():
 def test_energy_map_gradient_side_any_function():
     # The mean-gradient form needs no harmonicity.
     f = lognormal_field(2, 1, seed=45)
-    op = operator(f, f.cube)
+    op = CubeOperator(f, f.cube)
     w = np.random.default_rng(3).standard_normal(op.n_nodes)
     g_side, energy, _ = energy_map_check(f, f.cube, w, flux=False)
     assert g_side <= energy * (1.0 + 1e-8)
@@ -212,7 +216,34 @@ def test_pair_json_dict():
     np.testing.assert_allclose(
         np.array(d["a"]).reshape(2, 2), pair.a.entries
     )
+    # The worst Dirichlet and the worst Neumann column.
+    assert len(d["solver_residuals"]) == 2
     assert all(r < 1e-8 for r in d["solver_residuals"])
+
+
+def anisotropic_field(d, m, seed):
+    # Full (non-diagonal) SPD cell matrices, so an axis permutation moves
+    # every entry of the pair.
+    rng = np.random.default_rng(seed)
+    mats = rng.standard_normal((3 ** (d * m), d, d))
+    cells = mats @ np.swapaxes(mats, 1, 2) + 0.5 * np.eye(d)
+    return CoefficientField(d, m, cells.reshape((3 ** m,) * d + (d, d)))
+
+
+@pytest.mark.parametrize("d, m, perm", [
+    (2, 2, (1, 0)), (3, 1, (1, 2, 0)), (3, 1, (0, 2, 1)), (3, 2, (2, 0, 1)),
+])
+def test_pair_is_covariant_under_axis_permutations(d, m, perm):
+    # Relabelling the axes conjugates the coarse pair by the same permutation:
+    # a'(cube)[i, j] = a(cube)[perm[i], perm[j]], and likewise a_*.
+    f = anisotropic_field(d, m, seed=48 + d + m)
+    pair = coarse_pair(f, f.cube)
+    conj = coarse_pair(dihedral_conjugate(f, perm), f.cube)
+    idx = np.ix_(perm, perm)
+    for mine, theirs in ((conj.a, pair.a), (conj.a_star, pair.a_star)):
+        scale = np.abs(theirs.entries).max()
+        np.testing.assert_allclose(mine.entries, theirs.entries[idx],
+                                   rtol=0.0, atol=1e-13 * scale)
 
 
 def test_pair_on_interior_subcube():
@@ -234,8 +265,18 @@ def test_degenerate_neumann_solutions_are_consistency_error(monkeypatch):
     # inconsistent instead of failing inside the inversion.
     monkeypatch.setattr(
         CubeOperator, "solve_neumann",
-        lambda self, q, settings: BlockSolution(self, np.zeros(self.n_nodes), 0.0),
+        lambda self, q, settings: BlockSolution(
+            self, np.zeros((self.n_nodes,) + np.shape(q)[1:]), 0.0),
     )
     f = lognormal_field(2, 1, seed=21)
     with pytest.raises(ConsistencyError):
         coarse_pair(f, f.cube)
+
+
+def test_pair_memo_does_not_keep_its_field_alive():
+    f = lognormal_field(2, 1, seed=49)
+    coarse_pair(f, f.cube)
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None

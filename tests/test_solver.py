@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from cgflow import (
+    CubeOperator,
     EnsembleSpec,
     SolverSettings,
     generate,
     harmonic_pool,
-    operator,
     root_cube,
     solve_dirichlet,
     solve_neumann,
@@ -26,7 +26,7 @@ def constant_field(d, m, c=2.0):
 
 def test_stiffness_is_symmetric_and_singular():
     f = lognormal_field(2, 1)
-    K = operator(f, f.cube).stiffness.toarray()
+    K = CubeOperator(f, f.cube).stiffness.toarray()
     np.testing.assert_allclose(K, K.T, atol=1e-14)
     # Constants are in the kernel.
     np.testing.assert_allclose(K @ np.ones(K.shape[0]), 0.0, atol=1e-12)
@@ -34,7 +34,7 @@ def test_stiffness_is_symmetric_and_singular():
 
 def test_affine_representation_exact():
     f = constant_field(2, 1, c=3.0)
-    op = operator(f, f.cube)
+    op = CubeOperator(f, f.cube)
     p = np.array([1.5, -0.5])
     w = op.affine(p)
     np.testing.assert_allclose(op.mean_gradient(w), p, atol=1e-13)
@@ -44,7 +44,7 @@ def test_affine_representation_exact():
 
 def test_dirichlet_constant_field_is_affine():
     f = constant_field(2, 2, c=5.0)
-    op = operator(f, f.cube)
+    op = CubeOperator(f, f.cube)
     p = np.array([1.0, 2.0])
     sol = op.solve_dirichlet(p)
     np.testing.assert_allclose(sol.values, op.affine(p), atol=1e-10)
@@ -81,14 +81,14 @@ def test_neumann_mean_flux_is_q():
 
 def test_solutions_are_discrete_harmonic():
     f = lognormal_field(2, 2, seed=9)
-    op = operator(f, f.cube)
+    op = CubeOperator(f, f.cube)
     for sol in (op.solve_dirichlet([1.0, 0.0]), op.solve_neumann([0.0, 1.0])):
         op.require_harmonic(sol.values, tol=1e-8)
 
 
 def test_require_harmonic_rejects_noise():
     f = lognormal_field(2, 1, seed=2)
-    op = operator(f, f.cube)
+    op = CubeOperator(f, f.cube)
     w = np.random.default_rng(0).standard_normal(op.n_nodes)
     with pytest.raises(PreconditionError):
         op.require_harmonic(w, tol=1e-6)
@@ -108,7 +108,7 @@ def test_1d_neumann_closed_form():
     q = 1.5
     sol = solve_neumann(f, f.cube, [q])
     cells = f.cells[:, 0, 0]
-    grads = operator(f, f.cube).cell_gradients(sol.values)[:, 0]
+    grads = CubeOperator(f, f.cube).cell_gradients(sol.values)[:, 0]
     np.testing.assert_allclose(grads, q / cells, rtol=1e-11)
     assert sol.energy == pytest.approx(0.5 * q * q * np.mean(1.0 / cells), rel=1e-11)
 
@@ -143,7 +143,7 @@ def test_solve_v_energy_decomposition():
     # The combined maximizer's energy splits exactly into the Dirichlet and
     # Neumann parts: the cross term vanishes by discrete orthogonality.
     f = lognormal_field(2, 2, seed=10)
-    op = operator(f, f.cube)
+    op = CubeOperator(f, f.cube)
     p, q = np.array([1.0, -0.5]), np.array([0.5, 2.0])
     wd = op.solve_dirichlet(-p)
     wn = op.solve_neumann(q)
@@ -160,7 +160,7 @@ def test_harmonic_pool_is_seeded():
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
     assert not np.array_equal(a[0], c[0])
-    op = operator(f, f.cube)
+    op = CubeOperator(f, f.cube)
     for w in a:
         op.require_harmonic(w, tol=1e-8)
 
@@ -170,8 +170,46 @@ def test_subcube_operator_uses_local_coordinates():
     from cgflow import TriadicCube
 
     sub = TriadicCube(1, (3, 6))
-    op = operator(f, sub)
+    op = CubeOperator(f, sub)
     assert op.n_nodes == 16
     np.testing.assert_array_equal(
         op.cell_matrices.reshape(3, 3, 2, 2), f.cells_in(sub)
     )
+
+
+@pytest.mark.parametrize("direct_threshold", [1000, 1])
+def test_stacked_solves_equal_column_solves(direct_threshold):
+    # One block solve (one factorization on the dense path, PCG per column
+    # above direct_threshold) gives the column-by-column potentials; a zero
+    # column stays zero.
+    f = lognormal_field(2, 2, seed=14)
+    op = CubeOperator(f, f.cube)
+    settings = SolverSettings(direct_threshold=direct_threshold)
+    rng = np.random.default_rng(14)
+    slopes = rng.standard_normal((2, 3))
+    slopes[:, 1] = 0.0
+    data = rng.standard_normal((len(op.boundary_idx), 3))
+    for solve, block in ((op.solve_dirichlet, slopes), (op.solve_neumann, slopes),
+                         (op.solve_dirichlet_data, data)):
+        stacked = solve(block, settings)
+        columns = [solve(block[:, j], settings) for j in range(3)]
+        assert stacked.values.shape == (op.n_nodes, 3)
+        assert isinstance(stacked.residual, float)
+        assert stacked.residual == pytest.approx(
+            max(c.residual for c in columns), rel=1e-3, abs=1e-15)
+        for j, col in enumerate(columns):
+            scale = max(np.abs(col.values).max(), 1.0)
+            np.testing.assert_allclose(stacked.values[:, j], col.values,
+                                       rtol=0.0, atol=1e-12 * scale)
+    assert not np.any(op.solve_neumann(slopes, settings).values[:, 1])
+
+
+def test_flux_load_of_stacked_fluxes_is_columnwise():
+    f = lognormal_field(2, 2, seed=15)
+    op = CubeOperator(f, f.cube)
+    fluxes = np.random.default_rng(15).standard_normal((2, 4))
+    stacked = op.flux_load(fluxes)
+    assert stacked.shape == (op.n_nodes, 4)
+    for j in range(4):
+        np.testing.assert_allclose(stacked[:, j], op.flux_load(fluxes[:, j]),
+                                   rtol=0.0, atol=1e-15)
