@@ -31,8 +31,6 @@ from .grid import (
 from .solver import (
     BlockSolution,
     CubeOperator,
-    DEFAULT_SETTINGS,
-    SolverSettings,
     harmonic_pool,
     solve_dirichlet,
     solve_neumann,

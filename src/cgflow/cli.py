@@ -27,7 +27,7 @@ from .errors import (
     ReliabilityError,
 )
 from .grid import EnsembleSpec, TriadicCube, generate, root_cube
-from .solver import DEFAULT_SETTINGS, CubeOperator, SolverSettings, harmonic_pool, solve_v
+from .solver import CubeOperator, harmonic_pool, solve_v
 from .coarse import (
     coarse_pair,
     energy_map_check,
@@ -48,9 +48,6 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_BUDGET = 4
 
-_SOLVER_KEYS = {"tolerance", "max_iter_factor", "direct_threshold"}
-
-
 def _check_keys(obj: dict, allowed: set, required: set, where: str) -> None:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a JSON object")
@@ -60,23 +57,6 @@ def _check_keys(obj: dict, allowed: set, required: set, where: str) -> None:
     missing = required - set(obj)
     if missing:
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
-
-
-def _solver_settings(config: dict) -> SolverSettings:
-    block = config.get("solver", {})
-    _check_keys(block, _SOLVER_KEYS, set(), "solver")
-    try:
-        return SolverSettings(
-            tolerance=float(block.get("tolerance", DEFAULT_SETTINGS.tolerance)),
-            max_iter_factor=int(
-                block.get("max_iter_factor", DEFAULT_SETTINGS.max_iter_factor)
-            ),
-            direct_threshold=int(
-                block.get("direct_threshold", DEFAULT_SETTINGS.direct_threshold)
-            ),
-        )
-    except (TypeError, ValueError, ParameterError) as exc:
-        raise ConfigError(f"bad solver settings: {exc}") from exc
 
 
 def _ensemble(config: dict, seed_override) -> EnsembleSpec:
@@ -138,14 +118,13 @@ def _emit(out_dir, name: str, text: str) -> None:
 def cmd_coarse_grain(config: dict, out_dir, threads: int, seed_override) -> int:
     _check_keys(
         config,
-        {"dimension", "ensemble", "level", "cubes", "solver"},
+        {"dimension", "ensemble", "level", "cubes"},
         {"dimension", "ensemble", "level"},
         "config",
     )
     d = _dimension(config)
     level = _positive_int(config, "level")
     spec = _ensemble(config, seed_override)
-    settings = _solver_settings(config)
     field = generate(spec, d, level)
     cube_specs = config.get("cubes")
     if cube_specs is None:
@@ -158,7 +137,7 @@ def cmd_coarse_grain(config: dict, out_dir, threads: int, seed_override) -> int:
                 cubes.append(TriadicCube(int(c["level"]), tuple(c["offset"])))
             except ParameterError as exc:
                 raise ConfigError(str(exc)) from exc
-    pairs = [coarse_pair(field, cube, settings).to_json_dict() for cube in cubes]
+    pairs = [coarse_pair(field, cube).to_json_dict() for cube in cubes]
     payload = {"dimension": d, "ensemble": spec.to_json_dict(), "pairs": pairs}
     _emit(out_dir, "coarse_grain.json", json.dumps(payload, indent=2))
     return EXIT_OK
@@ -179,8 +158,8 @@ def _two_phase_for_contrast(theta: float, seed: int) -> EnsembleSpec:
 
 def cmd_flow(config: dict, out_dir, threads: int, seed_override) -> int:
     allowed = {
-        "dimension", "ensemble", "max_level", "samples", "solver",
-        "symmetrize", "method", "pigeonhole", "find_scale", "sweep",
+        "dimension", "ensemble", "max_level", "samples", "symmetrize",
+        "method", "pigeonhole", "find_scale", "sweep",
     }
     _check_keys(config, allowed, {"dimension", "max_level", "samples"}, "config")
     if ("sweep" in config) == ("ensemble" in config):
@@ -188,7 +167,6 @@ def cmd_flow(config: dict, out_dir, threads: int, seed_override) -> int:
     d = _dimension(config)
     max_level = _positive_int(config, "max_level")
     samples = _positive_int(config, "samples", minimum=2)
-    settings = _solver_settings(config)
     symmetrize = config.get("symmetrize", True)
     if not isinstance(symmetrize, bool):
         raise ConfigError("symmetrize must be a boolean")
@@ -204,8 +182,8 @@ def cmd_flow(config: dict, out_dir, threads: int, seed_override) -> int:
         seed = seed_override if seed_override is not None else 0
         for theta in sweep["thetas"]:
             spec = _two_phase_for_contrast(float(theta), seed)
-            record = flow_mod.run_flow(spec, d, max_level, samples, settings,
-                                       symmetrize, method, workers=threads)
+            record = flow_mod.run_flow(spec, d, max_level, samples, symmetrize,
+                                       method, workers=threads)
             scale = flow_mod.scale_from_record(record, sigma)
             _emit(out_dir, f"flow_theta_{theta}.csv", record.to_csv())
             n_hat = "not-reached" if not scale.reached else str(scale.level)
@@ -214,8 +192,8 @@ def cmd_flow(config: dict, out_dir, threads: int, seed_override) -> int:
         return EXIT_OK
 
     spec = _ensemble(config, seed_override)
-    record = flow_mod.run_flow(spec, d, max_level, samples, settings,
-                               symmetrize, method, workers=threads)
+    record = flow_mod.run_flow(spec, d, max_level, samples, symmetrize, method,
+                               workers=threads)
     payload = record.to_json_dict()
     if "pigeonhole" in config:
         ph = config["pigeonhole"]
@@ -237,14 +215,13 @@ def cmd_flow(config: dict, out_dir, threads: int, seed_override) -> int:
 def cmd_constants(config: dict, out_dir, threads: int, seed_override) -> int:
     allowed = {
         "dimension", "ensemble", "level", "s", "t", "q", "min_level",
-        "abar_samples", "solver", "budget_cap",
+        "abar_samples", "budget_cap",
     }
     _check_keys(config, allowed, {"dimension", "ensemble", "level", "s", "t", "q"},
                 "config")
     d = _dimension(config)
     level = _positive_int(config, "level")
     spec = _ensemble(config, seed_override)
-    settings = _solver_settings(config)
     try:
         exps = multiscale.ExponentSet(
             _exponent(config, "s"), _exponent(config, "t"), _exponent(config, "q")
@@ -257,18 +234,17 @@ def cmd_constants(config: dict, out_dir, threads: int, seed_override) -> int:
 
     field = generate(spec, d, level)
     cube = field.cube
-    lad = multiscale.ladder(field, cube, settings, budget_cap)
+    lad = multiscale.ladder(field, cube, budget_cap)
     lam_big, lam_small = multiscale.ellipticity_constants(lad, exps, min_level)
 
     # Reference matrix for the defect: annealed estimate when requested,
     # otherwise this realization's own top-scale Dirichlet matrix.
     if "abar_samples" in config:
         n_ab = _positive_int(config, "abar_samples", minimum=2)
-        est = flow_mod.estimate_annealed(spec, d, level, n_ab, settings,
-                                         workers=threads)
+        est = flow_mod.estimate_annealed(spec, d, level, n_ab, workers=threads)
         abar = est.abar
     else:
-        abar = coarse_pair(field, cube, settings).a.entries
+        abar = coarse_pair(field, cube).a.entries
     payload = {
         "dimension": d,
         "level": level,
@@ -348,7 +324,7 @@ def _verify_instances(seed: int, cases: int, dimensions, max_level: int):
 
 
 def run_verification(seed: int, cases: int, dimensions=(1, 2), max_level: int = 2,
-                     inject_fault=None, settings=DEFAULT_SETTINGS) -> dict:
+                     inject_fault=None) -> dict:
     """Run every asserted identity and inequality on seeded instances.
 
     Returns a report with per-check worst slacks; report["failed"] names the
@@ -381,7 +357,7 @@ def run_verification(seed: int, cases: int, dimensions=(1, 2), max_level: int = 
 
     instances = _verify_instances(seed, cases, dimensions, max_level)
     for field, cube, p, q in instances:
-        pair = coarse_pair(field, cube, settings)
+        pair = coarse_pair(field, cube)
         a_mat = pair.a.entries
         if inject_fault == "ordering":
             a_mat = a_mat - 1e-3 * np.eye(field.dimension)
@@ -390,33 +366,32 @@ def run_verification(seed: int, cases: int, dimensions=(1, 2), max_level: int = 
              float(np.linalg.eigvalsh(a_mat - pair.a_star.entries)[0]) / scale,
              lower=-tol)
 
-        v = solve_v(field, cube, p, q, settings)
-        j = j_functional(field, cube, p, q, settings)
+        v = solve_v(field, cube, p, q)
+        j = j_functional(field, cube, p, q)
         ref = max(abs(j), 0.5 * float(p @ p + q @ q), 1e-12)
         note("j_energy_rel", abs(v.energy - j) / ref, rel=tol)
 
-        s1, s2 = integral_bound_slacks(field, cube, settings)
+        s1, s2 = integral_bound_slacks(field, cube)
         note("integral_bounds", min(s1, s2) / scale, lower=-tol)
         note("subadditivity",
-             subadditivity_defect(field, cube, 0, p, q, settings) / ref,
+             subadditivity_defect(field, cube, 0, p, q) / ref,
              lower=-tol)
 
         w = harmonic_pool(field, cube, 1, seed=seed + cube.level)[0]
         wref = max(2.0 * CubeOperator(field, cube).energy(w), 1e-12)
-        lhs, rhs = response_defect(field, cube, w, settings)
+        lhs, rhs = response_defect(field, cube, w)
         note("response_map", (rhs - lhs) / wref, lower=-tol)
-        lhs, rhs = fluxmap_sides(field, cube, w, p, q, settings)
+        lhs, rhs = fluxmap_sides(field, cube, w, p, q)
         note("flux_map", (rhs - lhs) / max(wref, ref), lower=-tol)
-        g_side, energy, f_side = energy_map_check(field, cube, w, True, settings)
+        g_side, energy, f_side = energy_map_check(field, cube, w)
         note("energy_maps",
              min(energy - g_side, energy - f_side) / wref, lower=-tol)
         lhs, rhs = first_variation_sides(field, cube, w, p, q, v)
         note("first_variation", abs(lhs - rhs) / max(wref, ref), rel=tol)
-        lhs, rhs = second_variation_sides(field, cube, w, p, q, v, settings)
+        lhs, rhs = second_variation_sides(field, cube, w, p, q, v)
         note("second_variation", abs(lhs - rhs) / max(wref, ref), rel=tol)
 
-        rep = multiscale.cg_poincare_check(field, cube, w, 0.25, 1.0,
-                                           settings=settings)
+        rep = multiscale.cg_poincare_check(field, cube, w, 0.25, 1.0)
         slack = min(rep["rhs_gradient"] - rep["lhs_gradient"],
                     rep["rhs_flux"] - rep["lhs_flux"])
         note("poincare", slack / max(rep["rhs_gradient"], 1e-12), lower=-tol)
@@ -431,7 +406,7 @@ def run_verification(seed: int, cases: int, dimensions=(1, 2), max_level: int = 
 
 
 def cmd_verify(config: dict, out_dir, threads: int, seed_override) -> int:
-    allowed = {"seed", "cases", "dimensions", "max_level", "inject_fault", "solver"}
+    allowed = {"seed", "cases", "dimensions", "max_level", "inject_fault"}
     _check_keys(config, allowed, {"seed", "cases"}, "config")
     seed = _positive_int(config, "seed")
     if seed_override is not None:
@@ -444,8 +419,7 @@ def cmd_verify(config: dict, out_dir, threads: int, seed_override) -> int:
     fault = config.get("inject_fault")
     if fault is not None and fault != "ordering":
         raise ConfigError(f"unknown inject_fault mode {fault!r}")
-    settings = _solver_settings(config)
-    report = run_verification(seed, cases, dims, max_level, fault, settings)
+    report = run_verification(seed, cases, dims, max_level, fault)
     _emit(out_dir, "verify.json", json.dumps(report, indent=2))
     return EXIT_OK if report["failed"] is None else EXIT_VERIFY
 

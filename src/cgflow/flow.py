@@ -9,6 +9,7 @@ are treated as scalars (trace/d) for the contrast arithmetic.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -25,9 +26,11 @@ from .errors import (
     ReliabilityError,
 )
 from .grid import EnsembleSpec, TriadicCube, generate
-from .solver import DEFAULT_SETTINGS
 from .coarse import coarse_pair
 from . import multiscale
+
+# Largest share of Monte Carlo samples that may abort before a run fails.
+MAX_ABORT_FRACTION = 0.1
 
 
 def _symmetrize(mat: np.ndarray) -> np.ndarray:
@@ -39,7 +42,7 @@ def _symmetrize(mat: np.ndarray) -> np.ndarray:
 
 
 def _sample_pairs(spec: EnsembleSpec, dimension: int, levels: tuple[int, ...],
-                  sample_index: int, settings, symmetrize: bool, method: str):
+                  symmetrize: bool, method: str, sample_index: int):
     """One Monte Carlo sample: (a, a_*^{-1}) on the lower-corner cube at each
     requested level.  Returns None if a solve fails to converge or yields an
     inconsistent pair; every other error propagates."""
@@ -56,7 +59,7 @@ def _sample_pairs(spec: EnsembleSpec, dimension: int, levels: tuple[int, ...],
                 a = np.array([[1.0 / ainv]])
                 ainv = np.array([[ainv]])
             else:
-                pair = coarse_pair(field, cube, settings)
+                pair = coarse_pair(field, cube)
                 a = pair.a.entries.copy()
                 ainv = pair.a_star_inv.copy()
             if symmetrize:
@@ -222,61 +225,50 @@ def _aggregate(spec, dimension, levels, results, aborted) -> FlowRecord:
                       a_stack, ainv_stack, aborted)
 
 
-def _run_samples(spec, dimension, levels, samples, settings, symmetrize,
-                 method, workers, max_abort_fraction):
+def _run_samples(spec, dimension, levels, samples, symmetrize, method, workers):
     if samples < 2:
         raise ParameterError("need at least 2 Monte Carlo samples")
     if method == "oracle" and dimension != 1:
         raise ParameterError("the harmonic-mean oracle needs d = 1")
-    args = [
-        (spec, dimension, levels, i, settings, symmetrize, method)
-        for i in range(samples)
-    ]
+    sample = functools.partial(_sample_pairs, spec, dimension, levels,
+                               symmetrize, method)
     if workers and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_sample_pairs_star, args))
+            raw = list(pool.map(sample, range(samples)))
     else:
-        raw = [_sample_pairs(*a) for a in args]
+        raw = list(map(sample, range(samples)))
     results = [r for r in raw if r is not None]
     aborted = samples - len(results)
-    if aborted > max_abort_fraction * samples:
+    if aborted > MAX_ABORT_FRACTION * samples:
         raise ReliabilityError(
             f"{aborted} of {samples} samples aborted, above the "
-            f"{max_abort_fraction:.0%} reliability threshold"
+            f"{MAX_ABORT_FRACTION:.0%} reliability threshold"
         )
     if len(results) < 2:
         raise ReliabilityError("fewer than 2 samples survived")
     return results, aborted
 
 
-def _sample_pairs_star(args):
-    return _sample_pairs(*args)
-
-
 def estimate_annealed(spec: EnsembleSpec, dimension: int, level_n: int,
-                      samples: int, settings=DEFAULT_SETTINGS,
-                      symmetrize=True, method="solver", workers=1,
-                      max_abort_fraction=0.1) -> ScaleEstimate:
+                      samples: int, symmetrize=True, method="solver",
+                      workers=1) -> ScaleEstimate:
     """Sample mean and standard error of (a(cube), a_*^{-1}(cube)) at one
     level; per-sample fields use derived seeds seed + i."""
     results, aborted = _run_samples(
-        spec, dimension, (level_n,), samples, settings, symmetrize, method,
-        workers, max_abort_fraction,
+        spec, dimension, (level_n,), samples, symmetrize, method, workers,
     )
     record = _aggregate(spec, dimension, (level_n,), results, aborted)
     return record.estimates[0]
 
 
 def run_flow(spec: EnsembleSpec, dimension: int, max_level: int, samples: int,
-             settings=DEFAULT_SETTINGS, symmetrize=True, method="solver",
-             workers=1, max_abort_fraction=0.1) -> FlowRecord:
+             symmetrize=True, method="solver", workers=1) -> FlowRecord:
     """Annealed flow over levels 0..max_level with per-level sample reuse."""
     if max_level < 0:
         raise ParameterError("max_level must be >= 0")
     levels = tuple(range(max_level + 1))
     results, aborted = _run_samples(
-        spec, dimension, levels, samples, settings, symmetrize, method,
-        workers, max_abort_fraction,
+        spec, dimension, levels, samples, symmetrize, method, workers,
     )
     return _aggregate(spec, dimension, levels, results, aborted)
 
@@ -398,13 +390,12 @@ def scale_from_record(record: FlowRecord, sigma: float) -> HomogenizationScale:
 
 
 def homogenization_scale(spec: EnsembleSpec, dimension: int, sigma: float,
-                         samples: int, max_level: int,
-                         settings=DEFAULT_SETTINGS, symmetrize=True,
+                         samples: int, max_level: int, symmetrize=True,
                          method="solver", workers=1) -> HomogenizationScale:
     """Empirical homogenization length scale: run the flow, then find the
     first level whose contrast estimate drops below 1 + sigma."""
-    record = run_flow(spec, dimension, max_level, samples, settings,
-                      symmetrize, method, workers)
+    record = run_flow(spec, dimension, max_level, samples, symmetrize,
+                      method, workers)
     return scale_from_record(record, sigma)
 
 
@@ -425,18 +416,15 @@ def tau_from_record(record: FlowRecord, n: int, k: int, p, q):
 
 
 def tau(spec: EnsembleSpec, dimension: int, n: int, k: int, p, q,
-        samples: int, settings=DEFAULT_SETTINGS, symmetrize=True,
-        method="solver", workers=1):
+        samples: int, symmetrize=True, method="solver", workers=1):
     """Monte Carlo estimate of the expected additivity defect tau(n, k; p, q)."""
-    record = run_flow(spec, dimension, n, samples, settings, symmetrize,
-                      method, workers)
+    record = run_flow(spec, dimension, n, samples, symmetrize, method, workers)
     return tau_from_record(record, n, k, p, q)
 
 
 def theta_tilde(spec: EnsembleSpec, dimension: int, level: int, samples: int,
                 s: float, t: float, q: float, xi: float,
                 nu1: float = 1.0, nu2: float = 1.0,
-                settings=DEFAULT_SETTINGS,
                 budget_cap: int = multiscale.DEFAULT_BUDGET_CAP) -> float:
     """Moment-based contrast E[Lambda^(nu1 xi)]^(1/xi) E[lambda^(-nu2 xi)]^(1/xi).
 
@@ -449,7 +437,7 @@ def theta_tilde(spec: EnsembleSpec, dimension: int, level: int, samples: int,
     big, small = [], []
     for i in range(samples):
         field = generate(spec.with_seed(spec.seed + i), dimension, level)
-        lad = multiscale.ladder(field, field.cube, settings, budget_cap)
+        lad = multiscale.ladder(field, field.cube, budget_cap)
         Lam, lam = multiscale.ellipticity_constants(lad, exps)
         big.append(Lam ** (nu1 * xi))
         small.append(lam ** (-nu2 * xi))
@@ -458,8 +446,7 @@ def theta_tilde(spec: EnsembleSpec, dimension: int, level: int, samples: int,
 
 def contraction_diagnostics(record: FlowRecord, spec: EnsembleSpec,
                             dimension: int, delta: float, sigma: float = 0.5,
-                            h: int = 1, s: float = 0.25, t: float = 0.25,
-                            settings=DEFAULT_SETTINGS) -> dict:
+                            h: int = 1, s: float = 0.25, t: float = 0.25) -> dict:
     """Measurable ingredients of the one-step contraction estimate at a
     pigeonhole good scale; reported, never asserted (the bound's constant is
     not specified)."""
@@ -501,6 +488,6 @@ def contraction_diagnostics(record: FlowRecord, spec: EnsembleSpec,
         field = generate(spec.with_seed(spec.seed), dimension, n)
         report["weak_norms"] = multiscale.weak_norm_diagnostics(
             field, field.cube, p_c, q_c, np.zeros(dimension),
-            np.zeros(dimension), s, t, base_level=0, settings=settings,
+            np.zeros(dimension), s, t, base_level=0,
         )
     return report

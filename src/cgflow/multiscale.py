@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapacityError, ParameterError
 from .grid import CoefficientField, TriadicCube, subcubes
-from .solver import DEFAULT_SETTINGS, CubeOperator
+from .solver import CubeOperator
 from .coarse import coarse_pair
 
 INF = math.inf
@@ -54,11 +54,11 @@ class ExponentSet:
 
     @property
     def c_sq(self) -> float:
-        return c_exp(self.s * self.q) if self.q != INF else 1.0
+        return c_exp(self.s * self.q)
 
     @property
     def c_tq(self) -> float:
-        return c_exp(self.t * self.q) if self.q != INF else 1.0
+        return c_exp(self.t * self.q)
 
 
 def _subunit_geometric(u: float, min_level) -> float:
@@ -211,7 +211,6 @@ class MultiscaleLadder:
 
 
 def ladder(field: CoefficientField, cube: TriadicCube,
-           settings=DEFAULT_SETTINGS,
            budget_cap: int = DEFAULT_BUDGET_CAP) -> MultiscaleLadder:
     """Coarse pairs on every subcube at every level 0..m."""
     d = field.dimension
@@ -231,7 +230,7 @@ def ladder(field: CoefficientField, cube: TriadicCube,
         else:
             mats_a, mats_ainv = [], []
             for sub in subcubes(cube, k):
-                pair = coarse_pair(field, sub, settings)
+                pair = coarse_pair(field, sub)
                 mats_a.append(pair.a.entries)
                 mats_ainv.append(pair.a_star_inv)
             a_all.append(np.array(mats_a))
@@ -297,19 +296,18 @@ def multiscale_defect(lad: MultiscaleLadder, abar, s: float, q: float,
 
 
 def cg_poincare_check(field: CoefficientField, cube: TriadicCube, u: np.ndarray,
-                      s: float, q: float, flux=True,
-                      settings=DEFAULT_SETTINGS, harmonic_tol=1e-6) -> dict:
+                      s: float, q: float, flux=True) -> dict:
     """Both lines of the coarse-grained Poincare inequality with the explicit
     constants c_{sq}^{-1/q} lambda^{-1/2} and c_{sq}^{-1/q} Lambda^{1/2}.
 
     The gradient line holds for every discrete function; the flux line needs
     u discrete a-harmonic."""
     op = CubeOperator(field, cube)
-    lad = ladder(field, cube, settings)
+    lad = ladder(field, cube)
     exps = ExponentSet(s, s, q)
     Lambda, lam = ellipticity_constants(lad, exps)
     m = cube.level
-    cfac = 1.0 if q == INF else exps.c_sq ** (-1.0 / q)
+    cfac = exps.c_sq ** (-1.0 / q)
     energy_norm = math.sqrt(max(2.0 * op.energy(u), 0.0))
 
     grid_shape = (cube.side,) * field.dimension + (field.dimension,)
@@ -327,7 +325,7 @@ def cg_poincare_check(field: CoefficientField, cube: TriadicCube, u: np.ndarray,
         "gradient_ok": bool(lhs_grad <= rhs_grad * (1.0 + 1e-7) + 1e-300),
     }
     if flux:
-        op.require_harmonic(u, harmonic_tol)
+        op.require_harmonic(u)
         fluxes = op.cell_fluxes(u).reshape(grid_shape)
         lhs_flux = 3.0 ** (-s * m) * besov_ring(fluxes, field.dimension, s, 2.0, q)
         rhs_flux = cfac * Lambda ** 0.5 * energy_norm
@@ -341,8 +339,7 @@ def cg_poincare_check(field: CoefficientField, cube: TriadicCube, u: np.ndarray,
 
 def weak_norm_diagnostics(field: CoefficientField, cube: TriadicCube,
                           p, q_vec, p0, q0, s: float, t: float,
-                          s_prime=None, t_prime=None, base_level: int = 0,
-                          settings=DEFAULT_SETTINGS) -> dict:
+                          s_prime=None, t_prime=None, base_level: int = 0) -> dict:
     """Measurable ingredients of the weak-norm estimates for the maximizer of
     J(cube, p, q): the two left-hand sides and every term of the right-hand
     sides.  The bounds carry an unspecified dimensional constant and are
@@ -367,8 +364,8 @@ def weak_norm_diagnostics(field: CoefficientField, cube: TriadicCube,
         raise ParameterError(f"base_level must lie in [0, {m})")
 
     op = CubeOperator(field, cube)
-    lad = ladder(field, cube, settings)
-    v = solve_v(field, cube, p, q_vec, settings)
+    lad = ladder(field, cube)
+    v = solve_v(field, cube, p, q_vec)
     grid_shape = (cube.side,) * d + (d,)
     grads = op.cell_gradients(v.values).reshape(grid_shape)
     fluxes = op.cell_fluxes(v.values).reshape(grid_shape)
@@ -376,7 +373,7 @@ def weak_norm_diagnostics(field: CoefficientField, cube: TriadicCube,
     lhs_grad = 3.0 ** (-s * m) * besov_ring(grads - p0, d, s, 2.0, 1.0)
     lhs_flux = 3.0 ** (-t * m) * besov_ring(fluxes - q0, d, t, 2.0, 1.0)
 
-    j_m = j_functional(field, cube, p, q_vec, settings)
+    j_m = j_functional(field, cube, p, q_vec)
     lam_sp = ellipticity_constants(lad, ExponentSet(s_prime, s_prime, 1.0))[1]
     Lam_tp = ellipticity_constants(lad, ExponentSet(t_prime, t_prime, 1.0))[0]
 

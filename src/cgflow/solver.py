@@ -24,7 +24,8 @@ from .grid import CoefficientField, TriadicCube
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Linear-solver knobs shared by every block solve.
+    """Linear-solver constants shared by every block solve; the program uses
+    the one instance DEFAULT_SETTINGS.
 
     At or below `direct_threshold` unknowns a block is solved by dense
     Cholesky; the Neumann system's gauge is then fixed by pinning node 0.
@@ -36,33 +37,22 @@ class SolverSettings:
     max_iter_factor: int = 10
     direct_threshold: int = 1000
 
-    def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ParameterError(f"tolerance must be > 0, got {self.tolerance!r}")
-        if self.max_iter_factor < 1:
-            raise ParameterError(
-                f"max_iter_factor must be >= 1, got {self.max_iter_factor!r}"
-            )
-        if self.direct_threshold < 0:
-            raise ParameterError(
-                f"direct_threshold must be >= 0, got {self.direct_threshold!r}"
-            )
-
 
 DEFAULT_SETTINGS = SolverSettings()
 
 
-def _solve_spd(A, B, settings: SolverSettings, singular: bool = False):
+def _solve_spd(A, B, singular: bool = False):
     """Solve A X = B for a sparse SPD matrix A and a block B with one
     right-hand side per column (a vector is one column); returns X and the
     worst column's relative residual.
 
     With `singular`, A is a Neumann stiffness matrix, semidefinite with the
     constants as kernel, and each column of B sums to zero; the columns of X
-    are the zero-mean solutions.  Dense Cholesky at or below
-    `settings.direct_threshold` unknowns (n - 1 for the singular system, whose
-    node 0 is pinned), one factorization for all columns; Jacobi-PCG above,
-    column by column.  Zero columns give zero solutions."""
+    are the zero-mean solutions.  Dense Cholesky at or below `direct_threshold`
+    unknowns (n - 1 for the singular system, whose node 0 is pinned), one
+    factorization for all columns; Jacobi-PCG above, column by column.  Zero
+    columns give zero solutions.  The settings are read at call time."""
+    settings = DEFAULT_SETTINGS
     n = A.shape[0]
     rhs = np.reshape(B, (n, -1))
     X = np.zeros(rhs.shape)
@@ -233,25 +223,24 @@ class CubeOperator:
 
     # -- linear solves ---------------------------------------------------
 
-    def solve_dirichlet_data(self, boundary_values: np.ndarray,
-                             settings: SolverSettings = DEFAULT_SETTINGS) -> BlockSolution:
+    def solve_dirichlet_data(self, boundary_values: np.ndarray) -> BlockSolution:
         """Energy minimizer among nodal functions with the given boundary values."""
         w = np.zeros((self.n_nodes,) + np.shape(boundary_values)[1:])
         w[self.boundary_idx] = boundary_values
         ii = self.interior_idx
         K = self.stiffness
-        w[ii], res = _solve_spd(K[ii, :][:, ii], -(K @ w)[ii], settings)
+        w[ii], res = _solve_spd(K[ii, :][:, ii], -(K @ w)[ii])
         return BlockSolution(self, w, res)
 
-    def solve_dirichlet(self, p, settings: SolverSettings = DEFAULT_SETTINGS) -> BlockSolution:
+    def solve_dirichlet(self, p) -> BlockSolution:
         """Minimizer of the block energy over l_p + (zero boundary values)."""
         data = self.affine(p)[self.boundary_idx]
-        return self.solve_dirichlet_data(data, settings)
+        return self.solve_dirichlet_data(data)
 
-    def solve_neumann(self, q, settings: SolverSettings = DEFAULT_SETTINGS) -> BlockSolution:
+    def solve_neumann(self, q) -> BlockSolution:
         """Maximizer of (1/|cube|) int (q . grad w - 1/2 grad w . a grad w),
         gauge-fixed to zero mean.  The attained maximum is energy(w)."""
-        w, res = _solve_spd(self.stiffness, self.flux_load(q), settings, singular=True)
+        w, res = _solve_spd(self.stiffness, self.flux_load(q), singular=True)
         return BlockSolution(self, w, res)
 
 
@@ -279,29 +268,28 @@ class BlockSolution:
         return self.operator.mean_flux(self.values)
 
 
-def solve_dirichlet(field, cube, p, settings=DEFAULT_SETTINGS) -> BlockSolution:
-    return CubeOperator(field, cube).solve_dirichlet(p, settings)
+def solve_dirichlet(field, cube, p) -> BlockSolution:
+    return CubeOperator(field, cube).solve_dirichlet(p)
 
 
-def solve_neumann(field, cube, q, settings=DEFAULT_SETTINGS) -> BlockSolution:
-    return CubeOperator(field, cube).solve_neumann(q, settings)
+def solve_neumann(field, cube, q) -> BlockSolution:
+    return CubeOperator(field, cube).solve_neumann(q)
 
 
-def solve_v(field, cube, p, q, settings=DEFAULT_SETTINGS) -> BlockSolution:
+def solve_v(field, cube, p, q) -> BlockSolution:
     """The combined maximizer: Dirichlet part with affine data l_{-p} plus the
     Neumann part with flux q.  Its volume-normalized energy equals J(cube, p, q)
     up to solver tolerance."""
     op = CubeOperator(field, cube)
     p = np.asarray(p, dtype=float)
-    wd = op.solve_dirichlet(-p, settings)
-    wn = op.solve_neumann(q, settings)
+    wd = op.solve_dirichlet(-p)
+    wn = op.solve_neumann(q)
     return BlockSolution(op, wd.values + wn.values, max(wd.residual, wn.residual))
 
 
-def harmonic_pool(field, cube, count, seed, settings=DEFAULT_SETTINGS,
-                  scale=1.0) -> list[np.ndarray]:
+def harmonic_pool(field, cube, count, seed) -> list[np.ndarray]:
     """Seeded pool of discrete a-harmonic functions from random boundary data."""
     op = CubeOperator(field, cube)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    data = scale * rng.standard_normal((count, len(op.boundary_idx)))
-    return list(np.ascontiguousarray(op.solve_dirichlet_data(data.T, settings).values.T))
+    data = rng.standard_normal((count, len(op.boundary_idx)))
+    return list(np.ascontiguousarray(op.solve_dirichlet_data(data.T).values.T))

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cgflow.cli import main, run_verification
 
@@ -145,9 +146,10 @@ def test_flow_oracle_in_2d_is_config_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
 
 
-def test_flow_reliability_failure_is_exit_3(tmp_path, capsys):
+def test_flow_reliability_failure_is_exit_3(tmp_path, capsys, solver_settings):
     # One CG iteration per unknown cannot reach 1e-14 at contrast 1e4: every
     # sample aborts with a ConvergenceError.
+    solver_settings(tolerance=1e-14, max_iter_factor=1, direct_threshold=1)
     cfg = write_config(tmp_path, "f.json", {
         "dimension": 1,
         "ensemble": {
@@ -156,24 +158,11 @@ def test_flow_reliability_failure_is_exit_3(tmp_path, capsys):
             "seed": 3,
         },
         "max_level": 3, "samples": 4,
-        "solver": {"tolerance": 1e-14, "max_iter_factor": 1, "direct_threshold": 1},
     })
     assert main(["flow", "--config", cfg, "--threads", "1"]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ReliabilityError"
     assert err["message"].startswith("4 of 4 samples aborted")
-
-
-@pytest.mark.parametrize("solver", [
-    {"max_iter_factor": 0}, {"tolerance": 0.0}, {"direct_threshold": -1},
-])
-def test_solver_settings_that_skip_the_solve_are_rejected(tmp_path, capsys, solver):
-    # max_iter_factor 0 would let CG report success without iterating.
-    cfg = write_config(tmp_path, "c.json", dict(COARSE_1D, solver=solver))
-    assert main(["coarse-grain", "--config", cfg]) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ConfigError"
-    assert next(iter(solver)) in err["message"]
 
 
 CONSTANTS_2D = {
@@ -186,6 +175,20 @@ BESOV_RING = {
     "data": {"kind": "ring", "level": 0, "cells": [1.0]},
 }
 VERIFY = {"seed": 1, "cases": 1}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("coarse-grain", COARSE_1D), ("flow", FLOW_1D), ("constants", CONSTANTS_2D),
+    ("besov", BESOV_RING), ("verify", VERIFY),
+])
+def test_solver_key_is_unknown(tmp_path, capsys, command, config):
+    # The solver's settings are fixed in the program; configs carry none.
+    cfg = write_config(tmp_path, "c.json",
+                       dict(config, solver={"direct_threshold": 0}))
+    assert main([command, "--config", cfg]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "solver" in err["message"]
 
 
 @pytest.mark.parametrize("command, config, key", [
@@ -289,3 +292,20 @@ def test_run_verification_worst_slacks_reported():
     assert report["failed"] is None
     assert report["worst"]["j_energy_rel"] <= 1e-7
     assert report["worst"]["subadditivity"] >= -1e-7
+
+
+def test_verification_solves_with_the_solver_settings(monkeypatch, solver_settings):
+    # With no dense threshold every block solve, the harmonic functions'
+    # included, runs PCG: no Cholesky factorization is made.
+    solver_settings(direct_threshold=0)
+    calls = []
+    cho_factor = scipy.linalg.cho_factor
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cho_factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+    report = run_verification(seed=3, cases=2)
+    assert report["failed"] is None
+    assert calls == []

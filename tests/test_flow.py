@@ -104,8 +104,7 @@ def test_flow_oracle_matches_solver_1d():
 
 def test_oracle_requires_1d():
     with pytest.raises(Exception):
-        run_flow(two_phase(2.0, 0.5), 2, 1, samples=2, method="oracle",
-                 max_abort_fraction=0.0)
+        run_flow(two_phase(2.0, 0.5), 2, 1, samples=2, method="oracle")
 
 
 def test_flow_oracle_is_harmonic_mean_statistics():

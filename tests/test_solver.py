@@ -4,7 +4,6 @@ import pytest
 from cgflow import (
     CubeOperator,
     EnsembleSpec,
-    SolverSettings,
     generate,
     harmonic_pool,
     root_cube,
@@ -113,29 +112,31 @@ def test_1d_neumann_closed_form():
     assert sol.energy == pytest.approx(0.5 * q * q * np.mean(1.0 / cells), rel=1e-11)
 
 
-def test_iterative_path_matches_direct():
+def test_iterative_path_matches_direct(solver_settings):
     f = lognormal_field(2, 2, seed=8)
-    tight = SolverSettings(direct_threshold=10_000)
-    loose = SolverSettings(direct_threshold=1)
-    for p in (np.array([1.0, 0.0]), np.array([0.3, -0.8])):
-        a = solve_dirichlet(f, f.cube, p, tight)
-        b = solve_dirichlet(f, f.cube, p, loose)
-        np.testing.assert_allclose(a.values, b.values, atol=1e-7)
-    qa = solve_neumann(f, f.cube, [1.0, 1.0], tight)
-    qb = solve_neumann(f, f.cube, [1.0, 1.0], loose)
-    np.testing.assert_allclose(qa.values, qb.values, atol=1e-7)
+    slopes = (np.array([1.0, 0.0]), np.array([0.3, -0.8]))
+
+    def solves():
+        return ([solve_dirichlet(f, f.cube, p).values for p in slopes]
+                + [solve_neumann(f, f.cube, [1.0, 1.0]).values])
+
+    solver_settings(direct_threshold=10_000)
+    direct = solves()
+    solver_settings(direct_threshold=1)
+    for a, b in zip(direct, solves()):
+        np.testing.assert_allclose(a, b, atol=1e-7)
 
 
-def test_pcg_that_misses_tolerance_raises_with_residual():
+def test_pcg_that_misses_tolerance_raises_with_residual(solver_settings):
     # One iteration per unknown cannot reach 1e-14 at contrast 1e4.
     spec = EnsembleSpec(
         "two_phase_iid", {"prob_hi": 0.5, "sigma_hi": 100.0, "sigma_lo": 0.01}, 3
     )
     f = generate(spec, 1, 3)
-    settings = SolverSettings(tolerance=1e-14, max_iter_factor=1, direct_threshold=1)
+    settings = solver_settings(tolerance=1e-14, max_iter_factor=1, direct_threshold=1)
     for solve in (solve_dirichlet, solve_neumann):
         with pytest.raises(ConvergenceError) as info:
-            solve(f, f.cube, [1.0], settings)
+            solve(f, f.cube, [1.0])
         assert info.value.residual > settings.tolerance
 
 
@@ -178,21 +179,21 @@ def test_subcube_operator_uses_local_coordinates():
 
 
 @pytest.mark.parametrize("direct_threshold", [1000, 1])
-def test_stacked_solves_equal_column_solves(direct_threshold):
+def test_stacked_solves_equal_column_solves(solver_settings, direct_threshold):
     # One block solve (one factorization on the dense path, PCG per column
     # above direct_threshold) gives the column-by-column potentials; a zero
     # column stays zero.
     f = lognormal_field(2, 2, seed=14)
     op = CubeOperator(f, f.cube)
-    settings = SolverSettings(direct_threshold=direct_threshold)
+    solver_settings(direct_threshold=direct_threshold)
     rng = np.random.default_rng(14)
     slopes = rng.standard_normal((2, 3))
     slopes[:, 1] = 0.0
     data = rng.standard_normal((len(op.boundary_idx), 3))
     for solve, block in ((op.solve_dirichlet, slopes), (op.solve_neumann, slopes),
                          (op.solve_dirichlet_data, data)):
-        stacked = solve(block, settings)
-        columns = [solve(block[:, j], settings) for j in range(3)]
+        stacked = solve(block)
+        columns = [solve(block[:, j]) for j in range(3)]
         assert stacked.values.shape == (op.n_nodes, 3)
         assert isinstance(stacked.residual, float)
         assert stacked.residual == pytest.approx(
@@ -201,7 +202,7 @@ def test_stacked_solves_equal_column_solves(direct_threshold):
             scale = max(np.abs(col.values).max(), 1.0)
             np.testing.assert_allclose(stacked.values[:, j], col.values,
                                        rtol=0.0, atol=1e-12 * scale)
-    assert not np.any(op.solve_neumann(slopes, settings).values[:, 1])
+    assert not np.any(op.solve_neumann(slopes).values[:, 1])
 
 
 def test_flux_load_of_stacked_fluxes_is_columnwise():
