@@ -9,14 +9,18 @@ are treated as scalars (trace/d) for the contrast arithmetic.
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import glob
 import io
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+import scipy
 
 from .errors import (
     ConsistencyError,
@@ -31,6 +35,33 @@ from . import multiscale
 
 # Largest share of Monte Carlo samples that may abort before a run fails.
 MAX_ABORT_FRACTION = 0.1
+
+# numpy's and scipy's bundled OpenBLAS builds: the package whose `<name>.libs`
+# directory holds the library, and the suffix of the library's symbols.
+_BUNDLED_OPENBLAS = ((np, "64_"), (scipy, ""))
+
+
+def _bundled_openblas():
+    """Yield (library, symbol suffix) for each bundled OpenBLAS build found;
+    a build that is absent is skipped."""
+    for package, suffix in _BUNDLED_OPENBLAS:
+        site = os.path.dirname(os.path.dirname(package.__file__))
+        pattern = os.path.join(site, package.__name__ + ".libs", "libscipy_openblas*")
+        for path in sorted(glob.glob(pattern)):
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            yield lib, suffix
+
+
+def _one_blas_thread():
+    """Pool initializer: one BLAS thread per worker, so that the workers do
+    not oversubscribe the cores."""
+    for lib, suffix in _bundled_openblas():
+        setter = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
+        if setter is not None:
+            setter(1)
 
 
 def _symmetrize(mat: np.ndarray) -> np.ndarray:
@@ -233,7 +264,8 @@ def _run_samples(spec, dimension, levels, samples, symmetrize, method, workers):
     sample = functools.partial(_sample_pairs, spec, dimension, levels,
                                symmetrize, method)
     if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_one_blas_thread) as pool:
             raw = list(pool.map(sample, range(samples)))
     else:
         raw = list(map(sample, range(samples)))

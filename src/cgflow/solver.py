@@ -27,31 +27,41 @@ class SolverSettings:
     """Linear-solver constants shared by every block solve; the program uses
     the one instance DEFAULT_SETTINGS.
 
-    At or below `direct_threshold` unknowns a block is solved by dense
-    Cholesky; the Neumann system's gauge is then fixed by pinning node 0.
-    Above it, Jacobi-preconditioned CG runs to relative residual `tolerance`
-    within max_iter_factor * unknowns iterations; the singular Neumann system
-    is solved whole and its solution shifted to zero mean."""
+    A system of m unknowns and half-bandwidth b (its largest col - row in
+    node order) is solved by banded Cholesky while its cost m (b + 1)^2 stays
+    at or below `direct_cost_cap`; its band takes (b + 1) m floats.  The cap
+    of 5e9 puts every 2d cube up to level 5 (3.6e9) and every 3d cube up to
+    level 2 on the banded path; 3d level 3 (1.45e10, a 143 MB band) stays on
+    Jacobi-preconditioned CG, which runs to true relative residual
+    `tolerance` within max_iter_factor * unknowns iterations per run."""
 
     tolerance: float = 1e-10
     max_iter_factor: int = 10
-    direct_threshold: int = 1000
+    direct_cost_cap: float = 5e9
 
 
 DEFAULT_SETTINGS = SolverSettings()
 
+#: Further PCG runs, each from the last iterate, for a column whose true
+#: residual misses the tolerance after its first run.
+PCG_RESTARTS = 3
+
 
 def _solve_spd(A, B, singular: bool = False):
-    """Solve A X = B for a sparse SPD matrix A and a block B with one
+    """Solve A X = B for a CSR SPD matrix A and a block B with one
     right-hand side per column (a vector is one column); returns X and the
-    worst column's relative residual.
+    worst column's true relative residual.
 
     With `singular`, A is a Neumann stiffness matrix, semidefinite with the
     constants as kernel, and each column of B sums to zero; the columns of X
-    are the zero-mean solutions.  Dense Cholesky at or below `direct_threshold`
-    unknowns (n - 1 for the singular system, whose node 0 is pinned), one
-    factorization for all columns; Jacobi-PCG above, column by column.  Zero
-    columns give zero solutions.  The settings are read at call time."""
+    are the zero-mean solutions.  The upper band of A is read from its CSR
+    arrays; within `direct_cost_cap` one banded Cholesky solve covers all
+    columns, with node 0 pinned for the singular system (its row zeroed and
+    its column dropped).  Above the cap, Jacobi-PCG runs column by column on
+    the whole system, restarted from its iterate up to PCG_RESTARTS times
+    while the true residual misses `tolerance`; a column that still misses
+    it raises ConvergenceError.  Zero columns give zero solutions.  The
+    settings are read at call time."""
     settings = DEFAULT_SETTINGS
     n = A.shape[0]
     rhs = np.reshape(B, (n, -1))
@@ -61,27 +71,48 @@ def _solve_spd(A, B, singular: bool = False):
     if live.size == 0:
         return X.reshape(np.shape(B)), 0.0
     pin = 1 if singular else 0
-    if n - pin <= settings.direct_threshold:
-        factor = scipy.linalg.cho_factor(A.toarray()[pin:, pin:], check_finite=False)
-        X[pin:] = scipy.linalg.cho_solve(factor, rhs[pin:], check_finite=False)
+    offsets = A.indices - np.repeat(np.arange(n), np.diff(A.indptr))
+    b = int(offsets.max())
+    if (n - pin) * (b + 1) ** 2 <= settings.direct_cost_cap:
+        # Upper band storage band[b + i - j, j] = A[i, j], laid out column by
+        # column (Fortran order) so that LAPACK factors it in place.
+        upper = offsets >= 0
+        band = np.bincount(
+            A.indices[upper] * (b + 1) + b - offsets[upper],
+            weights=A.data[upper], minlength=n * (b + 1),
+        ).reshape(n, b + 1).T
+        if singular:
+            band[b - np.arange(b + 1), np.arange(b + 1)] = 0.0  # row 0
+        X[pin:] = scipy.linalg.solveh_banded(
+            band[:, pin:], rhs[pin:], overwrite_ab=True, check_finite=False
+        )
+        if singular:
+            for column in X.T:  # each mean summed as for a single solve
+                column -= column.mean()
+        res = np.linalg.norm(A @ X - rhs, axis=0)[live] / bnorm[live]
     else:
         diag = A.diagonal()
         M = scipy.sparse.linalg.LinearOperator((n, n), matvec=lambda v: v / diag)
-        for j in live:
-            X[:, j], info = scipy.sparse.linalg.cg(
-                A, rhs[:, j], rtol=settings.tolerance, atol=0.0,
-                maxiter=settings.max_iter_factor * n, M=M,
-            )
-            if info != 0:
-                res = float(np.linalg.norm(A @ X[:, j] - rhs[:, j]) / bnorm[j])
-                raise ConvergenceError(
-                    f"PCG failed to converge (info={info}, residual {res:.3e})",
-                    residual=res,
+        res = np.empty(live.size)
+        for k, j in enumerate(live):
+            x = None
+            for _ in range(1 + PCG_RESTARTS):
+                x, info = scipy.sparse.linalg.cg(
+                    A, rhs[:, j], x0=x, rtol=settings.tolerance, atol=0.0,
+                    maxiter=settings.max_iter_factor * n, M=M,
                 )
-    if singular:
-        for column in X.T:  # each mean summed as for a single solve
-            column -= column.mean()
-    res = np.linalg.norm(A @ X - rhs, axis=0)[live] / bnorm[live]
+                if singular:
+                    x -= x.mean()
+                res[k] = np.linalg.norm(A @ x - rhs[:, j]) / bnorm[j]
+                if info != 0 or res[k] <= settings.tolerance:
+                    break
+            if info != 0 or res[k] > settings.tolerance:
+                raise ConvergenceError(
+                    f"PCG missed tolerance {settings.tolerance:.0e} "
+                    f"(info={info}, residual {res[k]:.3e})",
+                    residual=float(res[k]),
+                )
+            X[:, j] = x
     return X.reshape(np.shape(B)), float(res.max())
 
 

@@ -1,4 +1,5 @@
 import pytest
+import scipy.linalg
 
 from cgflow import solver
 
@@ -6,9 +7,9 @@ from cgflow import solver
 @pytest.fixture
 def solver_settings(monkeypatch):
     """`solver_settings(**fields)` replaces the solver's settings record for
-    the rest of one test and returns it, e.g. to force the CG path on a small
-    cube.  Only this process sees the record: call the code in-process or
-    with `--threads 1`."""
+    the rest of one test and returns it, e.g. `direct_cost_cap=0` to force
+    the CG path on a small cube.  Only this process sees the record: call the
+    code in-process or with `--threads 1`."""
 
     def install(**fields):
         settings = solver.SolverSettings(**fields)
@@ -16,3 +17,18 @@ def solver_settings(monkeypatch):
         return settings
 
     return install
+
+
+@pytest.fixture
+def banded_calls(monkeypatch):
+    """A list that gains one entry per banded Cholesky solve (one
+    factorization each) made in this process for the rest of one test."""
+    calls = []
+    solveh_banded = scipy.linalg.solveh_banded
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solveh_banded(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "solveh_banded", counted)
+    return calls

@@ -2,7 +2,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from cgflow.cli import main, run_verification
 
@@ -149,7 +148,7 @@ def test_flow_oracle_in_2d_is_config_error(tmp_path, capsys):
 def test_flow_reliability_failure_is_exit_3(tmp_path, capsys, solver_settings):
     # One CG iteration per unknown cannot reach 1e-14 at contrast 1e4: every
     # sample aborts with a ConvergenceError.
-    solver_settings(tolerance=1e-14, max_iter_factor=1, direct_threshold=1)
+    solver_settings(tolerance=1e-14, max_iter_factor=1, direct_cost_cap=0)
     cfg = write_config(tmp_path, "f.json", {
         "dimension": 1,
         "ensemble": {
@@ -294,18 +293,13 @@ def test_run_verification_worst_slacks_reported():
     assert report["worst"]["subadditivity"] >= -1e-7
 
 
-def test_verification_solves_with_the_solver_settings(monkeypatch, solver_settings):
-    # With no dense threshold every block solve, the harmonic functions'
-    # included, runs PCG: no Cholesky factorization is made.
-    solver_settings(direct_threshold=0)
-    calls = []
-    cho_factor = scipy.linalg.cho_factor
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return cho_factor(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+def test_verification_solves_with_the_solver_settings(solver_settings, banded_calls):
+    # At the default cap verify's block solves are banded; with a cap of 0
+    # every one of them, the harmonic functions' included, runs PCG.
+    assert run_verification(seed=3, cases=2)["failed"] is None
+    assert banded_calls
+    banded_calls.clear()
+    solver_settings(direct_cost_cap=0)
     report = run_verification(seed=3, cases=2)
     assert report["failed"] is None
-    assert calls == []
+    assert banded_calls == []

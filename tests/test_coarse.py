@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -93,6 +94,28 @@ def test_unit_cell_pair_is_cell_matrix():
 def test_pair_is_memoized():
     f = lognormal_field(2, 1, seed=2)
     assert coarse_pair(f, f.cube) is coarse_pair(f, f.cube)
+
+
+def test_2d_level4_pair_is_two_banded_solves_in_bounded_memory(banded_calls):
+    # 6724 nodes: the band holds about 4.5 MB, the densified stiffness
+    # matrix 361 MB.
+    f = lognormal_field(2, 4, seed=3)
+    tracemalloc.start()
+    try:
+        coarse_pair(f, f.cube)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(banded_calls) == 2
+    assert peak < 32 * 2 ** 20
+
+
+def test_3d_level3_pair_stays_on_pcg(banded_calls):
+    # Its banded cost 21951 * 814^2 = 1.45e10 is above the cap.
+    f = lognormal_field(3, 3, seed=3)
+    pair = coarse_pair(f, f.cube)
+    assert banded_calls == []
+    assert max(pair.residuals) <= 1e-10
 
 
 def _lognormal(sigma):

@@ -17,6 +17,7 @@ from cgflow import (
     tau_from_record,
     theta_tilde,
 )
+from cgflow import flow
 from cgflow.flow import _symmetrize
 
 
@@ -149,6 +150,21 @@ def test_flow_parallel_matches_serial():
     b = run_flow(spec, 1, 2, samples=4, method="oracle", workers=2)
     np.testing.assert_array_equal(a.a_samples, b.a_samples)
     assert a.to_csv() == b.to_csv()
+
+
+def _blas_threads(*args):
+    return [getattr(lib, "scipy_openblas_get_num_threads" + suffix)()
+            for lib, suffix in flow._bundled_openblas()]
+
+
+def test_pool_workers_run_one_blas_thread(monkeypatch):
+    # Each sample reports its worker's OpenBLAS thread counts instead.
+    monkeypatch.setattr(flow, "_sample_pairs", _blas_threads)
+    results, aborted = flow._run_samples(two_phase(3.0, 0.4), 1, (0,), 2,
+                                         False, "solver", workers=2)
+    assert aborted == 0
+    for threads in results:
+        assert threads and threads == [1] * len(threads)
 
 
 # -- pigeonhole ----------------------------------------------------------

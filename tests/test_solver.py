@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cgflow import (
+    CoefficientField,
     CubeOperator,
     EnsembleSpec,
     generate,
@@ -112,7 +113,7 @@ def test_1d_neumann_closed_form():
     assert sol.energy == pytest.approx(0.5 * q * q * np.mean(1.0 / cells), rel=1e-11)
 
 
-def test_iterative_path_matches_direct(solver_settings):
+def test_iterative_path_matches_direct(solver_settings, banded_calls):
     f = lognormal_field(2, 2, seed=8)
     slopes = (np.array([1.0, 0.0]), np.array([0.3, -0.8]))
 
@@ -120,11 +121,12 @@ def test_iterative_path_matches_direct(solver_settings):
         return ([solve_dirichlet(f, f.cube, p).values for p in slopes]
                 + [solve_neumann(f, f.cube, [1.0, 1.0]).values])
 
-    solver_settings(direct_threshold=10_000)
-    direct = solves()
-    solver_settings(direct_threshold=1)
+    direct = solves()  # the default cap: three banded solves
+    assert len(banded_calls) == 3
+    solver_settings(direct_cost_cap=0)
     for a, b in zip(direct, solves()):
         np.testing.assert_allclose(a, b, atol=1e-7)
+    assert len(banded_calls) == 3
 
 
 def test_pcg_that_misses_tolerance_raises_with_residual(solver_settings):
@@ -133,7 +135,7 @@ def test_pcg_that_misses_tolerance_raises_with_residual(solver_settings):
         "two_phase_iid", {"prob_hi": 0.5, "sigma_hi": 100.0, "sigma_lo": 0.01}, 3
     )
     f = generate(spec, 1, 3)
-    settings = solver_settings(tolerance=1e-14, max_iter_factor=1, direct_threshold=1)
+    settings = solver_settings(tolerance=1e-14, max_iter_factor=1, direct_cost_cap=0)
     for solve in (solve_dirichlet, solve_neumann):
         with pytest.raises(ConvergenceError) as info:
             solve(f, f.cube, [1.0])
@@ -178,14 +180,15 @@ def test_subcube_operator_uses_local_coordinates():
     )
 
 
-@pytest.mark.parametrize("direct_threshold", [1000, 1])
-def test_stacked_solves_equal_column_solves(solver_settings, direct_threshold):
-    # One block solve (one factorization on the dense path, PCG per column
-    # above direct_threshold) gives the column-by-column potentials; a zero
+@pytest.mark.parametrize("backend", ["banded", "pcg"])
+def test_stacked_solves_equal_column_solves(solver_settings, banded_calls, backend):
+    # One block solve (one factorization on the banded path, PCG per column
+    # above the cost cap) gives the column-by-column potentials; a zero
     # column stays zero.
     f = lognormal_field(2, 2, seed=14)
     op = CubeOperator(f, f.cube)
-    solver_settings(direct_threshold=direct_threshold)
+    if backend == "pcg":
+        solver_settings(direct_cost_cap=0)
     rng = np.random.default_rng(14)
     slopes = rng.standard_normal((2, 3))
     slopes[:, 1] = 0.0
@@ -203,6 +206,9 @@ def test_stacked_solves_equal_column_solves(solver_settings, direct_threshold):
             np.testing.assert_allclose(stacked.values[:, j], col.values,
                                        rtol=0.0, atol=1e-12 * scale)
     assert not np.any(op.solve_neumann(slopes).values[:, 1])
+    # One banded solve per call (3 kinds x 4 calls, plus the last one) but
+    # for the two calls whose single column is zero.
+    assert len(banded_calls) == (11 if backend == "banded" else 0)
 
 
 def test_flux_load_of_stacked_fluxes_is_columnwise():
@@ -214,3 +220,62 @@ def test_flux_load_of_stacked_fluxes_is_columnwise():
     for j in range(4):
         np.testing.assert_allclose(stacked[:, j], op.flux_load(fluxes[:, j]),
                                    rtol=0.0, atol=1e-15)
+
+
+def anisotropic_field(d, m, seed):
+    # Full SPD cell matrices: the stiffness matrix couples every direction.
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal((3 ** (d * m), d, d))
+    cells = r @ r.transpose(0, 2, 1) + 0.5 * np.eye(d)
+    return CoefficientField(d, m, cells.reshape((3 ** m,) * d + (d, d)))
+
+
+@pytest.mark.parametrize("field", [
+    pytest.param(lambda: lognormal_field(1, 3, seed=16), id="1d-L3"),
+    pytest.param(lambda: lognormal_field(2, 3, seed=16), id="2d-L3"),
+    pytest.param(lambda: lognormal_field(3, 2, seed=16), id="3d-L2"),
+    pytest.param(lambda: anisotropic_field(2, 3, seed=16), id="2d-L3-anisotropic"),
+])
+def test_banded_solves_match_dense_oracle(banded_calls, field):
+    # Dirichlet and pinned Neumann block solves against np.linalg.solve on
+    # the densified system.
+    f = field()
+    d = f.dimension
+    op = CubeOperator(f, f.cube)
+    K = op.stiffness.toarray()
+    ii = op.interior_idx
+    rng = np.random.default_rng(16)
+    data = rng.standard_normal((len(op.boundary_idx), 2))
+    dirichlet = np.zeros((op.n_nodes, 2))
+    dirichlet[op.boundary_idx] = data
+    dirichlet[ii] = np.linalg.solve(K[np.ix_(ii, ii)], -(K @ dirichlet)[ii])
+    fluxes = rng.standard_normal((d, 2))
+    neumann = np.zeros((op.n_nodes, 2))
+    neumann[1:] = np.linalg.solve(K[1:, 1:], op.flux_load(fluxes)[1:])
+    neumann -= neumann.mean(axis=0)
+    for sol, oracle in ((op.solve_dirichlet_data(data), dirichlet),
+                        (op.solve_neumann(fluxes), neumann)):
+        np.testing.assert_allclose(sol.values, oracle, rtol=0.0,
+                                   atol=1e-12 * np.abs(oracle).max())
+        assert sol.residual < 1e-12
+    assert len(banded_calls) == 2
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pcg_meets_its_tolerance_or_raises(solver_settings, seed):
+    # At contrast 1e4 a tolerance of 1e-12 is near the attainable accuracy
+    # of the Neumann system; restarted PCG either reaches it or raises, and
+    # never returns a residual above it.
+    spec = EnsembleSpec(
+        "two_phase_iid", {"prob_hi": 0.5, "sigma_hi": 100.0, "sigma_lo": 0.01}, seed
+    )
+    f = generate(spec, 2, 2)
+    op = CubeOperator(f, f.cube)
+    settings = solver_settings(tolerance=1e-12, direct_cost_cap=0)
+    for solve in (op.solve_dirichlet, op.solve_neumann):
+        try:
+            sol = solve(np.eye(2))
+        except ConvergenceError as exc:
+            assert exc.residual > settings.tolerance
+        else:
+            assert sol.residual <= settings.tolerance
