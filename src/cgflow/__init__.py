@@ -25,15 +25,12 @@ from .grid import (
     dihedral_conjugate,
     generate,
     root_cube,
-    signed_permutations,
     subcubes,
 )
 from .solver import (
     BlockSolution,
     CubeOperator,
     harmonic_pool,
-    solve_dirichlet,
-    solve_neumann,
     solve_v,
 )
 from .coarse import (
@@ -61,14 +58,11 @@ from .flow import (
     ScaleEstimate,
     contraction_diagnostics,
     estimate_annealed,
-    homogenization_scale,
     pigeonhole_select,
     run_flow,
     scale_from_record,
     synthetic_record,
-    tau,
     tau_from_record,
-    theta_tilde,
 )
 
 __version__ = "0.1.0"

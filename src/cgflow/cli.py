@@ -73,7 +73,7 @@ def _ensemble(config: dict, seed_override) -> EnsembleSpec:
 
 def _dimension(config: dict) -> int:
     d = config["dimension"]
-    if d not in (1, 2, 3):
+    if isinstance(d, bool) or d not in (1, 2, 3):
         raise ConfigError(f"dimension must be 1, 2 or 3, got {d!r}")
     return int(d)
 
@@ -92,13 +92,21 @@ def _min_level(config: dict):
     return v
 
 
-def _exponent(config: dict, key: str):
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _number(config: dict, key: str, what: str = "a number") -> float:
     v = config[key]
-    if v == "inf":
-        return math.inf
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"{key} must be a number or \"inf\", got {v!r}")
+    if not _is_number(v):
+        raise ConfigError(f"{key} must be {what}, got {v!r}")
     return float(v)
+
+
+def _exponent(config: dict, key: str):
+    if config[key] == "inf":
+        return math.inf
+    return _number(config, key, 'a number or "inf"')
 
 
 def _emit(out_dir, name: str, text: str) -> None:
@@ -177,10 +185,13 @@ def cmd_flow(config: dict, out_dir, threads: int, seed_override) -> int:
     if "sweep" in config:
         sweep = config["sweep"]
         _check_keys(sweep, {"thetas", "sigma"}, {"thetas", "sigma"}, "sweep")
-        sigma = float(sweep["sigma"])
+        sigma = _number(sweep, "sigma")
+        thetas = sweep["thetas"]
+        if not isinstance(thetas, list) or not all(map(_is_number, thetas)):
+            raise ConfigError(f"thetas must be a list of numbers, got {thetas!r}")
         rows = ["theta_cell,n_hat,confident"]
         seed = seed_override if seed_override is not None else 0
-        for theta in sweep["thetas"]:
+        for theta in thetas:
             spec = _two_phase_for_contrast(float(theta), seed)
             record = flow_mod.run_flow(spec, d, max_level, samples, symmetrize,
                                        method, workers=threads)
@@ -199,13 +210,14 @@ def cmd_flow(config: dict, out_dir, threads: int, seed_override) -> int:
         ph = config["pigeonhole"]
         _check_keys(ph, {"delta", "sigma", "h"}, {"delta", "sigma"}, "pigeonhole")
         result = flow_mod.pigeonhole_select(
-            record, float(ph["delta"]), float(ph["sigma"]), int(ph.get("h", 1))
+            record, _number(ph, "delta"), _number(ph, "sigma"),
+            _positive_int(ph, "h", minimum=1, default=1),
         )
         payload["pigeonhole"] = result.to_json_dict()
     if "find_scale" in config:
         fs = config["find_scale"]
         _check_keys(fs, {"sigma"}, {"sigma"}, "find_scale")
-        scale = flow_mod.scale_from_record(record, float(fs["sigma"]))
+        scale = flow_mod.scale_from_record(record, _number(fs, "sigma"))
         payload["homogenization_scale"] = scale.to_json_dict()
     _emit(out_dir, "flow.csv", record.to_csv())
     _emit(out_dir, "flow.json", json.dumps(payload, indent=2))
@@ -276,10 +288,13 @@ def cmd_besov(config: dict, out_dir, threads: int, seed_override) -> int:
     kind = data["kind"]
     if kind not in ("ring", "positive"):
         raise ConfigError(f"data.kind must be 'ring' or 'positive', got {kind!r}")
-    m = int(data["level"])
-    v = int(data.get("value_dimension", 1))
+    m = _positive_int(data, "level")
+    v = _positive_int(data, "value_dimension", minimum=1, default=1)
     n = 3 ** m
-    cells = np.array(data["cells"], dtype=float)
+    try:
+        cells = np.array(data["cells"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cells must be an array of numbers: {exc}") from exc
     want = n ** d * v
     if cells.size != want:
         raise ConfigError(f"data.cells carries {cells.size} floats, expected {want}")
@@ -413,7 +428,8 @@ def cmd_verify(config: dict, out_dir, threads: int, seed_override) -> int:
         seed = seed_override
     cases = _positive_int(config, "cases")
     dims = config.get("dimensions", [1, 2])
-    if not isinstance(dims, list) or not dims or any(d not in (1, 2, 3) for d in dims):
+    if not isinstance(dims, list) or not dims or any(
+            isinstance(d, bool) or d not in (1, 2, 3) for d in dims):
         raise ConfigError(f"dimensions must be a nonempty subset of [1,2,3], got {dims!r}")
     max_level = _positive_int(config, "max_level", minimum=1, default=2)
     fault = config.get("inject_fault")

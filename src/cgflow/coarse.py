@@ -8,7 +8,6 @@ pair plus quadratures of block solutions.
 
 from __future__ import annotations
 
-import json
 import weakref
 from dataclasses import dataclass
 
@@ -47,9 +46,6 @@ class CoarseGrainedPair:
             "a_star": self.a_star.to_list(),
             "solver_residuals": [float(r) for r in self.residuals],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def _polarize(op, W: np.ndarray) -> np.ndarray:

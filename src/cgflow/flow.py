@@ -13,7 +13,6 @@ import ctypes
 import functools
 import glob
 import io
-import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -152,7 +151,8 @@ _CSV_COLUMNS = (
 @dataclass
 class FlowRecord:
     """Per-scale annealed estimates for levels 0..max_level plus the raw
-    per-sample matrices (needed for correlated differences like tau)."""
+    per-sample matrices (needed for the correlated differences in
+    tau_from_record)."""
 
     dimension: int
     max_level: int
@@ -201,9 +201,6 @@ class FlowRecord:
             "aborted_samples": self.aborted,
             "scales": [e.to_json_dict() for e in self.estimates],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def _theta_with_se(a_traces: np.ndarray, ainv_traces: np.ndarray):
@@ -263,7 +260,9 @@ def _run_samples(spec, dimension, levels, samples, symmetrize, method, workers):
         raise ParameterError("the harmonic-mean oracle needs d = 1")
     sample = functools.partial(_sample_pairs, spec, dimension, levels,
                                symmetrize, method)
-    if workers and workers > 1:
+    # A fork-started pool starts every worker up front: one per sample at most.
+    workers = min(workers or 1, samples)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_one_blas_thread) as pool:
             raw = list(pool.map(sample, range(samples)))
@@ -346,9 +345,6 @@ class PigeonholeResult:
             "theta_ratio": self.theta_ratio,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 def pigeonhole_select(record: FlowRecord, delta: float, sigma: float,
                       h: int = 1) -> PigeonholeResult:
@@ -396,7 +392,6 @@ class HomogenizationScale:
     level: int | None
     confident: bool
     sigma: float
-    record: FlowRecord
 
     @property
     def reached(self) -> bool:
@@ -417,18 +412,8 @@ def scale_from_record(record: FlowRecord, sigma: float) -> HomogenizationScale:
     for e in record.estimates:
         if e.theta <= 1.0 + sigma:
             confident = e.theta + 2.0 * e.theta_se <= 1.0 + sigma
-            return HomogenizationScale(e.level, confident, sigma, record)
-    return HomogenizationScale(None, False, sigma, record)
-
-
-def homogenization_scale(spec: EnsembleSpec, dimension: int, sigma: float,
-                         samples: int, max_level: int, symmetrize=True,
-                         method="solver", workers=1) -> HomogenizationScale:
-    """Empirical homogenization length scale: run the flow, then find the
-    first level whose contrast estimate drops below 1 + sigma."""
-    record = run_flow(spec, dimension, max_level, samples, symmetrize,
-                      method, workers)
-    return scale_from_record(record, sigma)
+            return HomogenizationScale(e.level, confident, sigma)
+    return HomogenizationScale(None, False, sigma)
 
 
 def tau_from_record(record: FlowRecord, n: int, k: int, p, q):
@@ -445,35 +430,6 @@ def tau_from_record(record: FlowRecord, n: int, k: int, p, q):
     m = len(vals)
     se = float(vals.std(ddof=1) / math.sqrt(m)) if m >= 2 else 0.0
     return float(vals.mean()), se
-
-
-def tau(spec: EnsembleSpec, dimension: int, n: int, k: int, p, q,
-        samples: int, symmetrize=True, method="solver", workers=1):
-    """Monte Carlo estimate of the expected additivity defect tau(n, k; p, q)."""
-    record = run_flow(spec, dimension, n, samples, symmetrize, method, workers)
-    return tau_from_record(record, n, k, p, q)
-
-
-def theta_tilde(spec: EnsembleSpec, dimension: int, level: int, samples: int,
-                s: float, t: float, q: float, xi: float,
-                nu1: float = 1.0, nu2: float = 1.0,
-                budget_cap: int = multiscale.DEFAULT_BUDGET_CAP) -> float:
-    """Moment-based contrast E[Lambda^(nu1 xi)]^(1/xi) E[lambda^(-nu2 xi)]^(1/xi).
-
-    Expensive optional diagnostic: needs a full multiscale ladder per sample.
-    The exponents nu1, nu2, xi are user-set; nothing here infers them from the
-    ensemble."""
-    if samples < 1 or xi <= 0:
-        raise ParameterError("need samples >= 1 and xi > 0")
-    exps = multiscale.ExponentSet(s, t, q)
-    big, small = [], []
-    for i in range(samples):
-        field = generate(spec.with_seed(spec.seed + i), dimension, level)
-        lad = multiscale.ladder(field, field.cube, budget_cap)
-        Lam, lam = multiscale.ellipticity_constants(lad, exps)
-        big.append(Lam ** (nu1 * xi))
-        small.append(lam ** (-nu2 * xi))
-    return float(np.mean(big) ** (1.0 / xi) * np.mean(small) ** (1.0 / xi))
 
 
 def contraction_diagnostics(record: FlowRecord, spec: EnsembleSpec,

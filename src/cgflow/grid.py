@@ -9,8 +9,7 @@ multiple of 3**level).  All fields are immutable after construction.
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -114,9 +113,6 @@ class SpdMatrix:
     def dimension(self) -> int:
         return self.entries.shape[0]
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
-
     def spectral_norm(self) -> float:
         return float(np.linalg.eigvalsh(self.entries)[-1])
 
@@ -187,7 +183,7 @@ class CoefficientField:
     Immutable and holds no cache; memoized results live with the code that
     computes them."""
 
-    def __init__(self, dimension, ambient_level, cells, metadata=None):
+    def __init__(self, dimension, ambient_level, cells):
         if dimension not in (1, 2, 3):
             raise ParameterError(f"dimension must be 1, 2 or 3, got {dimension}")
         if not (0 <= ambient_level <= MAX_AMBIENT_LEVEL):
@@ -205,7 +201,6 @@ class CoefficientField:
         self.dimension = dimension
         self.ambient_level = ambient_level
         self.cells = cells
-        self.metadata = dict(metadata or {})
 
     @property
     def side(self) -> int:
@@ -229,33 +224,6 @@ class CoefficientField:
             raise ParameterError(f"cube {cube} not inside ambient {self.cube}")
         sl = tuple(slice(o, o + cube.side) for o in cube.offset)
         return self.cells[sl]
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> str:
-        payload = {
-            "dimension": self.dimension,
-            "ambient_level": self.ambient_level,
-            "metadata": self.metadata,
-            "cells": [float(x) for x in self.cells.ravel()],
-        }
-        return json.dumps(payload)
-
-    @staticmethod
-    def from_json(text: str) -> "CoefficientField":
-        d = json.loads(text)
-        dim = int(d["dimension"])
-        m = int(d["ambient_level"])
-        n = 3 ** m
-        cells = np.array(d["cells"], dtype=float).reshape((n,) * dim + (dim, dim))
-        return CoefficientField(dim, m, cells, d.get("metadata"))
-
-    def equals(self, other: "CoefficientField") -> bool:
-        return (
-            self.dimension == other.dimension
-            and self.ambient_level == other.ambient_level
-            and np.array_equal(self.cells, other.cells)
-        )
 
 
 def _cell_rng(seed: int, coord: tuple[int, ...]) -> np.random.Generator:
@@ -317,8 +285,7 @@ def generate(spec: EnsembleSpec, dimension: int, ambient_level: int) -> Coeffici
         for coord in itertools.product(range(n), repeat=dimension):
             cells[coord] = _scalar_draw(spec, spec.seed, coord) * eye
 
-    meta = {"ensemble": spec.to_json_dict()}
-    return CoefficientField(dimension, ambient_level, cells, meta)
+    return CoefficientField(dimension, ambient_level, cells)
 
 
 def dihedral_conjugate(field: CoefficientField, perm) -> CoefficientField:
@@ -333,18 +300,4 @@ def dihedral_conjugate(field: CoefficientField, perm) -> CoefficientField:
     cells = field.cells.transpose(perm + (d, d + 1))
     idx = np.array(perm)
     cells = cells[..., idx, :][..., :, idx]
-    meta = dict(field.metadata)
-    meta["dihedral_perm"] = list(perm)
-    return CoefficientField(d, field.ambient_level, cells, meta)
-
-
-def signed_permutations(d: int) -> list[np.ndarray]:
-    """All 2^d * d! signed permutation matrices (the cube symmetry group)."""
-    out = []
-    for perm in itertools.permutations(range(d)):
-        for signs in itertools.product((1.0, -1.0), repeat=d):
-            mat = np.zeros((d, d))
-            for i, (p, s) in enumerate(zip(perm, signs)):
-                mat[p, i] = s
-            out.append(mat)
-    return out
+    return CoefficientField(d, field.ambient_level, cells)

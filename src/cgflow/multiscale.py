@@ -48,11 +48,6 @@ class ExponentSet:
             raise ParameterError("q must lie in [1, inf]")
 
     @property
-    def admissible(self) -> bool:
-        """Whether (s, t) flags coarse-grained-elliptic admissibility."""
-        return self.s + self.t < 1.0
-
-    @property
     def c_sq(self) -> float:
         return c_exp(self.s * self.q)
 
@@ -202,13 +197,6 @@ class MultiscaleLadder:
     def top_level(self) -> int:
         return self.cube.level
 
-    def to_json_dict(self) -> dict:
-        return {
-            "cube": {"level": self.cube.level, "offset": list(self.cube.offset)},
-            "max_a_norm": [float(x) for x in self.max_a_norm],
-            "max_a_star_inv_norm": [float(x) for x in self.max_a_star_inv_norm],
-        }
-
 
 def ladder(field: CoefficientField, cube: TriadicCube,
            budget_cap: int = DEFAULT_BUDGET_CAP) -> MultiscaleLadder:
@@ -345,7 +333,7 @@ def weak_norm_diagnostics(field: CoefficientField, cube: TriadicCube,
     sides.  The bounds carry an unspecified dimensional constant and are
     reported, never asserted."""
     from .solver import solve_v
-    from .coarse import j_from_pair, j_functional
+    from .coarse import j_functional
 
     d = field.dimension
     m = cube.level

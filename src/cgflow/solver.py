@@ -183,7 +183,6 @@ class CubeOperator:
         corner_offsets = np.array(corners)  # (2^d, d)
         # (n_cells, 2^d)
         self.cell_nodes = (cell_coords[:, None, :] + corner_offsets[None, :, :]) @ strides
-        self._cell_coords = cell_coords
 
         ke = np.einsum("cab,abij->cij", cells, G)  # per-cell element matrices
         nb = len(corners)
@@ -297,14 +296,6 @@ class BlockSolution:
     @property
     def mean_flux(self) -> np.ndarray:
         return self.operator.mean_flux(self.values)
-
-
-def solve_dirichlet(field, cube, p) -> BlockSolution:
-    return CubeOperator(field, cube).solve_dirichlet(p)
-
-
-def solve_neumann(field, cube, q) -> BlockSolution:
-    return CubeOperator(field, cube).solve_neumann(q)
 
 
 def solve_v(field, cube, p, q) -> BlockSolution:

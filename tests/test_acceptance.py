@@ -329,7 +329,8 @@ def test_criterion_9_contrast_sweep():
             "two_phase_iid", {"prob_hi": 0.5, "sigma_hi": hi, "sigma_lo": 1.0 / hi},
             99,
         )
-        scale = cgflow.homogenization_scale(spec, 2, 0.5, samples=12, max_level=4)
+        record = run_flow(spec, 2, 4, samples=12)
+        scale = scale_from_record(record, 0.5)
         results.append((theta_cell, scale.level, math.log(theta_cell) ** 2))
     reached = [(t, n) for t, n, _ in results if n is not None]
     nondecreasing = all(

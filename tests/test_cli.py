@@ -174,6 +174,14 @@ BESOV_RING = {
     "data": {"kind": "ring", "level": 0, "cells": [1.0]},
 }
 VERIFY = {"seed": 1, "cases": 1}
+SWEEP_1D = {
+    "dimension": 1, "max_level": 2, "samples": 4, "method": "oracle",
+    "sweep": {"thetas": [4, 16], "sigma": 0.5},
+}
+
+
+def besov_data(**entries):
+    return dict(BESOV_RING, data=dict(BESOV_RING["data"], **entries))
 
 
 @pytest.mark.parametrize("command, config", [
@@ -202,6 +210,18 @@ def test_solver_key_is_unknown(tmp_path, capsys, command, config):
     ("besov", dict(BESOV_RING, min_level="-1"), "min_level"),
     ("besov", dict(BESOV_RING, min_level=1.5), "min_level"),
     ("besov", dict(BESOV_RING, min_level=2), "min_level"),
+    ("flow", dict(FLOW_1D, find_scale={"sigma": "abc"}), "sigma"),
+    ("flow", dict(FLOW_1D, pigeonhole={"delta": "x", "sigma": 0.5}), "delta"),
+    ("flow", dict(FLOW_1D, pigeonhole={"delta": 0.5, "sigma": [0.5]}), "sigma"),
+    ("flow", dict(FLOW_1D, pigeonhole={"delta": 0.5, "sigma": 0.5, "h": "z"}), "h must"),
+    ("flow", dict(SWEEP_1D, sweep={"thetas": [4], "sigma": "abc"}), "sigma"),
+    ("flow", dict(SWEEP_1D, sweep={"thetas": 4, "sigma": 0.5}), "thetas"),
+    ("flow", dict(SWEEP_1D, sweep={"thetas": [4, "a"], "sigma": 0.5}), "thetas"),
+    ("flow", dict(FLOW_1D, dimension=True), "dimension"),
+    ("besov", besov_data(level="a"), "level"),
+    ("besov", besov_data(value_dimension="2"), "value_dimension"),
+    ("besov", besov_data(cells=["x"]), "cells"),
+    ("verify", dict(VERIFY, dimensions=[True]), "dimensions"),
 ])
 def test_bad_integer_settings_are_config_errors(tmp_path, capsys, command, config, key):
     cfg = write_config(tmp_path, "c.json", config)

@@ -1,3 +1,7 @@
+import itertools
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -7,15 +11,11 @@ from cgflow import (
     PigeonholeDiagnosticError,
     contraction_diagnostics,
     estimate_annealed,
-    homogenization_scale,
     pigeonhole_select,
     run_flow,
     scale_from_record,
-    signed_permutations,
     synthetic_record,
-    tau,
     tau_from_record,
-    theta_tilde,
 )
 from cgflow import flow
 from cgflow.flow import _symmetrize
@@ -30,6 +30,18 @@ def two_phase(hi, lo, p=0.5, seed=0):
 # -- symmetrization ------------------------------------------------------
 
 
+def signed_permutations(d):
+    """All 2^d * d! signed permutation matrices (the cube symmetry group)."""
+    out = []
+    for perm in itertools.permutations(range(d)):
+        for signs in itertools.product((1.0, -1.0), repeat=d):
+            mat = np.zeros((d, d))
+            for i, (p, s) in enumerate(zip(perm, signs)):
+                mat[p, i] = s
+            out.append(mat)
+    return out
+
+
 def test_symmetrize_preserves_trace_and_is_isotropic():
     rng = np.random.default_rng(0)
     for d in (1, 2, 3):
@@ -40,6 +52,9 @@ def test_symmetrize_preserves_trace_and_is_isotropic():
         np.testing.assert_allclose(s, np.trace(m) / d * np.eye(d), atol=1e-12)
         # The closed form is the average over the cube point group.
         group = signed_permutations(d)
+        assert len(group) == 2 ** d * math.factorial(d)
+        for r in group:
+            np.testing.assert_allclose(r @ r.T, np.eye(d), atol=1e-15)
         avg = sum(r @ m @ r.T for r in group) / len(group)
         np.testing.assert_allclose(s, avg, atol=1e-12)
 
@@ -134,11 +149,9 @@ def test_flow_csv_shape():
 
 
 def test_flow_json_roundtrip():
-    import json
-
     record = run_flow(two_phase(2.0, 0.5, seed=1), 1, 1, samples=3,
                       method="oracle")
-    d = json.loads(record.to_json())
+    d = json.loads(json.dumps(record.to_json_dict()))
     assert d["max_level"] == 1
     assert len(d["scales"]) == 2
     assert d["scales"][1]["samples"] == 3
@@ -165,6 +178,33 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     assert aborted == 0
     for threads in results:
         assert threads and threads == [1] * len(threads)
+
+
+def test_pool_is_bounded_by_the_sample_count(monkeypatch):
+    # A stand-in executor records its size and maps serially: no process starts.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(flow, "ProcessPoolExecutor", SerialPool)
+    spec = two_phase(3.0, 0.4, seed=6)
+    bounded = run_flow(spec, 1, 2, samples=2, method="oracle", workers=64)
+    assert sizes == [2]
+    run_flow(spec, 1, 2, samples=2, method="oracle", workers=1)
+    assert sizes == [2]  # one worker runs in the parent, without a pool
+    serial = run_flow(spec, 1, 2, samples=2, method="oracle", workers=None)
+    assert bounded.to_csv() == serial.to_csv()
 
 
 # -- pigeonhole ----------------------------------------------------------
@@ -233,16 +273,15 @@ def test_pigeonhole_sound_on_monotone_sequences():
 
 def test_constant_scale_is_zero():
     spec = EnsembleSpec("constant", {"value": 7.0})
-    result = homogenization_scale(spec, 2, 0.5, samples=2, max_level=1)
+    result = scale_from_record(run_flow(spec, 2, 1, samples=2), 0.5)
     assert result.level == 0
     assert result.confident
 
 
 def test_scale_oracle_vs_solver_1d():
     spec = two_phase(2.0, 0.5, seed=8)
-    a = homogenization_scale(spec, 1, 0.5, samples=6, max_level=3)
-    b = homogenization_scale(spec, 1, 0.5, samples=6, max_level=3,
-                             method="oracle")
+    a = scale_from_record(run_flow(spec, 1, 3, samples=6), 0.5)
+    b = scale_from_record(run_flow(spec, 1, 3, samples=6, method="oracle"), 0.5)
     assert a.level == b.level
     assert a.confident == b.confident
 
@@ -259,13 +298,15 @@ def test_scale_not_reached():
 
 def test_tau_constant_is_zero():
     spec = EnsembleSpec("constant", {"value": 2.0})
-    val, se = tau(spec, 2, 1, 0, [1.0, 0.0], [0.0, 1.0], samples=3)
+    record = run_flow(spec, 2, 1, samples=3)
+    val, se = tau_from_record(record, 1, 0, [1.0, 0.0], [0.0, 1.0])
     assert val == pytest.approx(0.0, abs=1e-10)
     assert se == pytest.approx(0.0, abs=1e-12)
 
 
 def test_tau_zero_directions():
-    val, se = tau(two_phase(2.0, 0.5, seed=2), 1, 1, 0, [0.0], [0.0], samples=3)
+    record = run_flow(two_phase(2.0, 0.5, seed=2), 1, 1, samples=3)
+    val, se = tau_from_record(record, 1, 0, [0.0], [0.0])
     assert val == 0.0
 
 
@@ -301,7 +342,7 @@ def test_tau_validates_levels():
         tau_from_record(record, 1, 1, [1.0], [1.0])
 
 
-# -- diagnostics and moments ---------------------------------------------
+# -- contraction diagnostics ---------------------------------------------
 
 
 def test_contraction_diagnostics_constant():
@@ -313,8 +354,3 @@ def test_contraction_diagnostics_constant():
     assert rep["theta_ratios"][0]["ratio"] == pytest.approx(0.0, abs=1e-9)
     assert "weak_norms" in rep
 
-
-def test_theta_tilde_constant_collapse():
-    spec = EnsembleSpec("constant", {"value": 2.0})
-    val = theta_tilde(spec, 2, 1, samples=2, s=0.25, t=0.25, q=2.0, xi=4.0)
-    assert val == pytest.approx(1.0, rel=1e-9)

@@ -1,10 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
 from cgflow import (
-    CoefficientField,
     EnsembleSpec,
     ParameterError,
     SpdMatrix,
@@ -12,7 +9,6 @@ from cgflow import (
     dihedral_conjugate,
     generate,
     root_cube,
-    signed_permutations,
     subcubes,
 )
 from cgflow.errors import CapacityError
@@ -69,7 +65,7 @@ def test_spd_matrix_validation():
 
 def test_spd_matrix_queries():
     m = SpdMatrix(np.diag([1.0, 4.0]))
-    assert m.min_eigenvalue() == pytest.approx(1.0)
+    assert np.linalg.eigvalsh(m.entries)[0] == pytest.approx(1.0)
     assert m.spectral_norm() == pytest.approx(4.0)
     np.testing.assert_allclose(m.inverse().entries, np.diag([1.0, 0.25]))
 
@@ -99,9 +95,9 @@ def test_generate_is_deterministic():
                         {"prob_hi": 0.5, "sigma_hi": 4.0, "sigma_lo": 0.25}, 17)
     f1 = generate(spec, 2, 2)
     f2 = generate(spec, 2, 2)
-    assert f1.equals(f2)
+    assert np.array_equal(f1.cells, f2.cells)
     f3 = generate(spec.with_seed(18), 2, 2)
-    assert not f1.equals(f3)
+    assert not np.array_equal(f1.cells, f3.cells)
 
 
 def test_generate_extension_consistency():
@@ -148,14 +144,6 @@ def test_field_cells_in_view():
     np.testing.assert_array_equal(view[0, 0], f.cell((3, 6)))
 
 
-def test_field_json_roundtrip_bit_exact():
-    spec = EnsembleSpec("lognormal_iid", {"log_mean": 0.0, "log_sigma": 0.7}, 4)
-    f = generate(spec, 2, 1)
-    g = CoefficientField.from_json(f.to_json())
-    assert f.equals(g)
-    assert np.array_equal(f.cells, g.cells)
-
-
 def test_dihedral_conjugate_roundtrip():
     spec = EnsembleSpec("lognormal_iid", {"log_mean": 0.0, "log_sigma": 0.6}, 8)
     f = generate(spec, 2, 1)
@@ -164,10 +152,3 @@ def test_dihedral_conjugate_roundtrip():
     np.testing.assert_array_equal(h.cells, f.cells)
     assert not np.array_equal(g.cells, f.cells)
 
-
-def test_signed_permutations_group_size():
-    for d in (1, 2, 3):
-        mats = signed_permutations(d)
-        assert len(mats) == 2 ** d * math.factorial(d)
-        for r in mats:
-            np.testing.assert_allclose(r @ r.T, np.eye(d), atol=1e-15)

@@ -8,8 +8,6 @@ from cgflow import (
     generate,
     harmonic_pool,
     root_cube,
-    solve_dirichlet,
-    solve_neumann,
     solve_v,
 )
 from cgflow.errors import ConvergenceError, PreconditionError
@@ -57,14 +55,14 @@ def test_dirichlet_mean_gradient_is_p():
     # the prescribed slope whatever the coefficients.
     f = lognormal_field(2, 2, seed=3)
     p = np.array([0.7, -1.2])
-    sol = solve_dirichlet(f, f.cube, p)
+    sol = CubeOperator(f, f.cube).solve_dirichlet(p)
     np.testing.assert_allclose(sol.mean_gradient, p, atol=1e-10)
 
 
 def test_neumann_constant_field():
     f = constant_field(2, 1, c=4.0)
     q = np.array([2.0, -1.0])
-    sol = solve_neumann(f, f.cube, q)
+    sol = CubeOperator(f, f.cube).solve_neumann(q)
     np.testing.assert_allclose(sol.mean_flux, q, atol=1e-10)
     assert sol.energy == pytest.approx(0.5 * q @ q / 4.0, rel=1e-10)
     # Gauge: zero mean.
@@ -75,7 +73,7 @@ def test_neumann_mean_flux_is_q():
     # Pairing with affine test functions forces the mean flux to q exactly.
     f = lognormal_field(2, 2, seed=6)
     q = np.array([1.0, 0.5])
-    sol = solve_neumann(f, f.cube, q)
+    sol = CubeOperator(f, f.cube).solve_neumann(q)
     np.testing.assert_allclose(sol.mean_flux, q, atol=1e-9)
 
 
@@ -96,7 +94,7 @@ def test_require_harmonic_rejects_noise():
 
 def test_1d_dirichlet_matches_harmonic_mean():
     f = lognormal_field(1, 2, seed=4)
-    sol = solve_dirichlet(f, f.cube, [1.0])
+    sol = CubeOperator(f, f.cube).solve_dirichlet([1.0])
     cells = f.cells[:, 0, 0]
     hmean = 1.0 / np.mean(1.0 / cells)
     assert 2.0 * sol.energy == pytest.approx(hmean, rel=1e-12)
@@ -106,7 +104,7 @@ def test_1d_neumann_closed_form():
     # w' = q / a pointwise in 1d, so the energy is q^2/2 times the mean of 1/a.
     f = lognormal_field(1, 2, seed=5)
     q = 1.5
-    sol = solve_neumann(f, f.cube, [q])
+    sol = CubeOperator(f, f.cube).solve_neumann([q])
     cells = f.cells[:, 0, 0]
     grads = CubeOperator(f, f.cube).cell_gradients(sol.values)[:, 0]
     np.testing.assert_allclose(grads, q / cells, rtol=1e-11)
@@ -118,8 +116,9 @@ def test_iterative_path_matches_direct(solver_settings, banded_calls):
     slopes = (np.array([1.0, 0.0]), np.array([0.3, -0.8]))
 
     def solves():
-        return ([solve_dirichlet(f, f.cube, p).values for p in slopes]
-                + [solve_neumann(f, f.cube, [1.0, 1.0]).values])
+        op = CubeOperator(f, f.cube)
+        return ([op.solve_dirichlet(p).values for p in slopes]
+                + [op.solve_neumann([1.0, 1.0]).values])
 
     direct = solves()  # the default cap: three banded solves
     assert len(banded_calls) == 3
@@ -136,9 +135,10 @@ def test_pcg_that_misses_tolerance_raises_with_residual(solver_settings):
     )
     f = generate(spec, 1, 3)
     settings = solver_settings(tolerance=1e-14, max_iter_factor=1, direct_cost_cap=0)
-    for solve in (solve_dirichlet, solve_neumann):
+    op = CubeOperator(f, f.cube)
+    for solve in (op.solve_dirichlet, op.solve_neumann):
         with pytest.raises(ConvergenceError) as info:
-            solve(f, f.cube, [1.0])
+            solve([1.0])
         assert info.value.residual > settings.tolerance
 
 
