@@ -1,3 +1,6 @@
+import itertools
+
+import numpy as np
 import pytest
 import scipy.linalg
 
@@ -32,3 +35,21 @@ def banded_calls(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "solveh_banded", counted)
     return calls
+
+
+@pytest.fixture
+def signed_permutations():
+    """`signed_permutations(d)` lists all 2^d * d! signed permutation
+    matrices: the symmetry group of the d-dimensional cube."""
+
+    def group(d):
+        out = []
+        for perm in itertools.permutations(range(d)):
+            for signs in itertools.product((1.0, -1.0), repeat=d):
+                mat = np.zeros((d, d))
+                for i, (p, s) in enumerate(zip(perm, signs)):
+                    mat[p, i] = s
+                out.append(mat)
+        return out
+
+    return group

@@ -1,6 +1,4 @@
-import itertools
 import json
-import math
 
 import numpy as np
 import pytest
@@ -30,19 +28,7 @@ def two_phase(hi, lo, p=0.5, seed=0):
 # -- symmetrization ------------------------------------------------------
 
 
-def signed_permutations(d):
-    """All 2^d * d! signed permutation matrices (the cube symmetry group)."""
-    out = []
-    for perm in itertools.permutations(range(d)):
-        for signs in itertools.product((1.0, -1.0), repeat=d):
-            mat = np.zeros((d, d))
-            for i, (p, s) in enumerate(zip(perm, signs)):
-                mat[p, i] = s
-            out.append(mat)
-    return out
-
-
-def test_symmetrize_preserves_trace_and_is_isotropic():
+def test_symmetrize_preserves_trace_and_is_isotropic(signed_permutations):
     rng = np.random.default_rng(0)
     for d in (1, 2, 3):
         m = rng.standard_normal((d, d))
@@ -52,9 +38,6 @@ def test_symmetrize_preserves_trace_and_is_isotropic():
         np.testing.assert_allclose(s, np.trace(m) / d * np.eye(d), atol=1e-12)
         # The closed form is the average over the cube point group.
         group = signed_permutations(d)
-        assert len(group) == 2 ** d * math.factorial(d)
-        for r in group:
-            np.testing.assert_allclose(r @ r.T, np.eye(d), atol=1e-15)
         avg = sum(r @ m @ r.T for r in group) / len(group)
         np.testing.assert_allclose(s, avg, atol=1e-12)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,10 @@ def test_dihedral_conjugate_roundtrip():
     np.testing.assert_array_equal(h.cells, f.cells)
     assert not np.array_equal(g.cells, f.cells)
 
+
+def test_signed_permutations_group_size(signed_permutations):
+    for d in (1, 2, 3):
+        mats = signed_permutations(d)
+        assert len(mats) == 2 ** d * math.factorial(d)
+        for r in mats:
+            np.testing.assert_allclose(r @ r.T, np.eye(d), atol=1e-15)
