@@ -59,9 +59,19 @@ def _check_keys(obj: dict, allowed: set, required: set, where: str) -> None:
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
 
 
+def _seed(v, key: str) -> int:
+    # Seeds key the cell streams' 64-bit Philox word: no silent wrap.
+    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < 2 ** 64:
+        raise ConfigError(f"{key} must be an integer in [0, 2^64), got {v!r}")
+    return v
+
+
 def _ensemble(config: dict, seed_override) -> EnsembleSpec:
+    block = config["ensemble"]
+    if isinstance(block, dict) and "seed" in block:
+        _seed(block["seed"], "ensemble seed")
     try:
-        spec = EnsembleSpec.from_json_dict(config["ensemble"])
+        spec = EnsembleSpec.from_json_dict(block)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad ensemble block: {exc}") from exc
     except ParameterError as exc:
@@ -137,12 +147,18 @@ def cmd_coarse_grain(config: dict, out_dir, threads: int, seed_override) -> int:
     cube_specs = config.get("cubes")
     if cube_specs is None:
         cubes = [root_cube(d, level)]
+    elif not isinstance(cube_specs, list):
+        raise ConfigError(f"cubes must be a list of objects, got {cube_specs!r}")
     else:
         cubes = []
         for c in cube_specs:
             _check_keys(c, {"level", "offset"}, {"level", "offset"}, "cubes[]")
+            offset = c["offset"]
+            if not isinstance(offset, list) or not all(
+                    isinstance(o, int) and not isinstance(o, bool) for o in offset):
+                raise ConfigError(f"offset must be a list of integers, got {offset!r}")
             try:
-                cubes.append(TriadicCube(int(c["level"]), tuple(c["offset"])))
+                cubes.append(TriadicCube(_positive_int(c, "level"), tuple(offset)))
             except ParameterError as exc:
                 raise ConfigError(str(exc)) from exc
     pairs = [coarse_pair(field, cube).to_json_dict() for cube in cubes]
@@ -423,7 +439,7 @@ def run_verification(seed: int, cases: int, dimensions=(1, 2), max_level: int = 
 def cmd_verify(config: dict, out_dir, threads: int, seed_override) -> int:
     allowed = {"seed", "cases", "dimensions", "max_level", "inject_fault"}
     _check_keys(config, allowed, {"seed", "cases"}, "config")
-    seed = _positive_int(config, "seed")
+    seed = _seed(config["seed"], "seed")
     if seed_override is not None:
         seed = seed_override
     cases = _positive_int(config, "cases")
@@ -490,6 +506,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.seed is not None:
+            _seed(args.seed, "--seed")
         config = _load_config(args.config)
         code = _COMMANDS[args.command](config, args.out, args.threads, args.seed)
     except CgflowError as exc:

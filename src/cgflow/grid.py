@@ -226,24 +226,101 @@ class CoefficientField:
         return self.cells[sl]
 
 
-def _cell_rng(seed: int, coord: tuple[int, ...]) -> np.random.Generator:
-    # Counter-based stream per cell: key = (seed, packed coordinate).  Packing
-    # uses 16 bits per axis, enough for sides up to 3**8 = 6561.
-    code = 0
-    for c in coord:
-        code = (code << 16) | int(c)
-    key = np.array([np.uint64(seed & (2**64 - 1)), np.uint64(code)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+# Each cell draws from its own counter-based stream: the stream of
+# np.random.Philox(key=(seed mod 2**64, code)), where code packs the cell
+# coordinate at 16 bits per axis (enough for sides up to 3**8 = 6561).  A
+# cell's value is its stream's first draw, so the restriction of a field to a
+# lower-corner cube is the smaller field.  The two-phase and laminate draws are
+# computed for a chunk of cells at once by the Philox4x64-10 rounds below
+# (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011, with
+# the Random123 constants numpy uses); all uint64 arithmetic stays on arrays,
+# where it wraps silently.
+_PHILOX_ROUNDS = 10
+_PHILOX_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_U64_MASK = 2 ** 64 - 1
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+# Cells drawn at once: bounds the generation temporaries whatever the field size.
+_CHUNK_CELLS = 2 ** 14
 
 
-def _scalar_draw(spec: EnsembleSpec, seed: int, coord) -> float:
-    rng = _cell_rng(seed, coord)
+def _mulhilo(multiplier: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of multiplier * b (the 128-bit product),
+    built from 32-bit halves."""
+    a_lo = np.uint64(multiplier & 0xFFFFFFFF)
+    a_hi = np.uint64(multiplier >> 32)
+    b_lo = b & _LO32
+    b_hi = b >> _S32
+    ll = a_lo * b_lo
+    lh = a_lo * b_hi
+    hl = a_hi * b_lo
+    mid = (ll >> _S32) + (lh & _LO32) + (hl & _LO32)
+    hi = a_hi * b_hi + (lh >> _S32) + (hl >> _S32) + (mid >> _S32)
+    return hi, (mid << _S32) | (ll & _LO32)
+
+
+def _first_words(seed: int, codes: np.ndarray) -> np.ndarray:
+    """The first 64-bit output of each stream Philox(key=(seed, code)): word 0
+    of the block at counter (1, 0, 0, 0), since numpy increments the zero
+    counter before computing its first block."""
+    k0 = seed & _U64_MASK
+    k1 = codes
+    zeros = np.zeros_like(codes)
+    c0, c1, c2, c3 = np.ones_like(codes), zeros, zeros, zeros
+    for _ in range(_PHILOX_ROUNDS):
+        hi0, lo0 = _mulhilo(_PHILOX_MULTIPLIERS[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_MULTIPLIERS[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+        k0 = (k0 + _PHILOX_WEYL[0]) & _U64_MASK
+        k1 = k1 + np.uint64(_PHILOX_WEYL[1])
+    return c0
+
+
+def _first_normals(seed: int, codes: np.ndarray) -> np.ndarray:
+    """The first standard_normal() of each stream Philox(key=(seed, code)).
+
+    numpy's ziggurat tables are not public, so one bit generator is reset to
+    each stream in turn (counter 0, empty buffer) instead of constructing one
+    per cell."""
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    key = [seed & _U64_MASK, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    out = np.empty(codes.shape)
+    for i, code in enumerate(codes.tolist()):
+        key[1] = code
+        bitgen.state = state
+        out[i] = rng.standard_normal()
+    return out
+
+
+def _cell_values(spec: EnsembleSpec, codes: np.ndarray) -> np.ndarray:
+    """Each cell's scalar value, drawn from the stream of its packed code."""
     p = spec.params
-    if spec.kind in ("two_phase_iid", "laminate_1d"):
-        return p["sigma_hi"] if rng.random() < p["prob_hi"] else p["sigma_lo"]
     if spec.kind == "lognormal_iid":
-        return float(np.exp(p["log_mean"] + p["log_sigma"] * rng.standard_normal()))
-    raise ParameterError(f"no scalar draw for kind {spec.kind}")
+        return np.exp(p["log_mean"] + p["log_sigma"] * _first_normals(spec.seed, codes))
+    # Generator.random(): the top 53 bits of the first word, scaled by 2**-53.
+    u = (_first_words(spec.seed, codes) >> np.uint64(11)) * 2.0 ** -53
+    return np.where(u < p["prob_hi"], p["sigma_hi"], p["sigma_lo"])
+
+
+def _cell_codes(start: int, stop: int, n: int, dimension: int) -> np.ndarray:
+    """Packed coordinates of the cells with C-order flat indices [start, stop)."""
+    flat = np.arange(start, stop, dtype=np.uint64)
+    side = np.uint64(n)
+    code = np.zeros_like(flat)
+    for axis in range(dimension):
+        code |= (flat % side) << np.uint64(16 * axis)
+        flat //= side
+    return code
 
 
 def generate(spec: EnsembleSpec, dimension: int, ambient_level: int) -> CoefficientField:
@@ -275,15 +352,17 @@ def generate(spec: EnsembleSpec, dimension: int, ambient_level: int) -> Coeffici
             )
         cells[...] = flat.reshape(shape)
     elif spec.kind == "laminate_1d":
-        # Cell matrices diag(alpha(x_0), 1, ..., 1); alpha drawn per slice.
-        for x0 in range(n):
-            alpha = _scalar_draw(spec, spec.seed, (x0,))
-            mat = eye.copy()
-            mat[0, 0] = alpha
-            cells[x0, ...] = mat
+        # Cell matrices diag(alpha(x_0), 1, ..., 1); alpha drawn per slice,
+        # from the stream of the one-axis coordinate (x_0,).
+        alpha = _cell_values(spec, np.arange(n, dtype=np.uint64))
+        cells[...] = eye
+        cells[..., 0, 0] = alpha.reshape((n,) + (1,) * (dimension - 1))
     else:
-        for coord in itertools.product(range(n), repeat=dimension):
-            cells[coord] = _scalar_draw(spec, spec.seed, coord) * eye
+        flat_cells = cells.reshape(-1, dimension, dimension)
+        for start in range(0, len(flat_cells), _CHUNK_CELLS):
+            stop = min(start + _CHUNK_CELLS, len(flat_cells))
+            values = _cell_values(spec, _cell_codes(start, stop, n, dimension))
+            np.multiply(values[:, None, None], eye, out=flat_cells[start:stop])
 
     return CoefficientField(dimension, ambient_level, cells)
 

@@ -310,8 +310,10 @@ def solve_v(field, cube, p, q) -> BlockSolution:
 
 
 def harmonic_pool(field, cube, count, seed) -> list[np.ndarray]:
-    """Seeded pool of discrete a-harmonic functions from random boundary data."""
+    """Seeded pool of discrete a-harmonic functions from random boundary data.
+    The seed is taken mod 2**64, like the cell streams' (derived seeds such as
+    seed + level may pass the top of the range)."""
     op = CubeOperator(field, cube)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed & (2 ** 64 - 1))))
     data = rng.standard_normal((count, len(op.boundary_idx)))
     return list(np.ascontiguousarray(op.solve_dirichlet_data(data.T).values.T))

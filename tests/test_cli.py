@@ -184,10 +184,13 @@ def besov_data(**entries):
     return dict(BESOV_RING, data=dict(BESOV_RING["data"], **entries))
 
 
-@pytest.mark.parametrize("command, config", [
+ALL_COMMANDS = [
     ("coarse-grain", COARSE_1D), ("flow", FLOW_1D), ("constants", CONSTANTS_2D),
     ("besov", BESOV_RING), ("verify", VERIFY),
-])
+]
+
+
+@pytest.mark.parametrize("command, config", ALL_COMMANDS)
 def test_solver_key_is_unknown(tmp_path, capsys, command, config):
     # The solver's settings are fixed in the program; configs carry none.
     cfg = write_config(tmp_path, "c.json",
@@ -222,6 +225,20 @@ def test_solver_key_is_unknown(tmp_path, capsys, command, config):
     ("besov", besov_data(value_dimension="2"), "value_dimension"),
     ("besov", besov_data(cells=["x"]), "cells"),
     ("verify", dict(VERIFY, dimensions=[True]), "dimensions"),
+    ("coarse-grain", dict(COARSE_1D, cubes=[{"level": "a", "offset": [0]}]), "level"),
+    ("coarse-grain", dict(COARSE_1D, cubes=[{"level": 1.5, "offset": [0]}]), "level"),
+    ("coarse-grain", dict(COARSE_1D, cubes=3), "cubes"),
+    ("coarse-grain", dict(COARSE_1D, cubes=[3]), "cubes"),
+    ("coarse-grain", dict(COARSE_1D, cubes=[{"level": 0, "offset": [1.0]}]), "offset"),
+    ("coarse-grain", dict(COARSE_1D, cubes=[{"level": 0, "offset": 1}]), "offset"),
+    ("coarse-grain", dict(COARSE_1D, ensemble=dict(COARSE_1D["ensemble"], seed=2 ** 64)),
+     "seed"),
+    ("flow", dict(FLOW_1D, ensemble=dict(FLOW_1D["ensemble"], seed=-1)), "seed"),
+    ("flow", dict(FLOW_1D, ensemble=dict(FLOW_1D["ensemble"], seed=1.5)), "seed"),
+    ("constants", dict(CONSTANTS_2D, ensemble=dict(CONSTANTS_2D["ensemble"], seed="7")),
+     "seed"),
+    ("verify", dict(VERIFY, seed=-1), "seed"),
+    ("verify", dict(VERIFY, seed=2 ** 64), "seed"),
 ])
 def test_bad_integer_settings_are_config_errors(tmp_path, capsys, command, config, key):
     cfg = write_config(tmp_path, "c.json", config)
@@ -229,6 +246,28 @@ def test_bad_integer_settings_are_config_errors(tmp_path, capsys, command, confi
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert key in err["message"]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+@pytest.mark.parametrize("command, config", ALL_COMMANDS)
+def test_seed_outside_u64_is_config_error(tmp_path, capsys, command, config, seed):
+    # Seeds are u64: no wrap to another seed's field, no uncaught overflow.
+    cfg = write_config(tmp_path, "c.json", config)
+    assert main([command, "--config", cfg, "--seed", seed]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "--seed" in err["message"]
+
+
+def test_largest_seed_runs(tmp_path, capsys):
+    # Derived seeds (seed + 1000 + i, seed + level) wrap past 2^64 - 1.
+    top = str(2 ** 64 - 1)
+    cfg = write_config(tmp_path, "v.json", VERIFY)
+    assert main(["verify", "--config", cfg, "--seed", top]) == 0
+    assert json.loads(capsys.readouterr().out)["failed"] is None
+    cfg = write_config(tmp_path, "f.json", FLOW_1D)
+    assert main(["flow", "--config", cfg, "--seed", top, "--threads", "1"]) == 0
+    capsys.readouterr()
 
 
 def test_flow_output_bytes_do_not_depend_on_threads(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +111,58 @@ def test_generate_extension_consistency():
     small = generate(spec, 2, 1)
     big = generate(spec, 2, 2)
     np.testing.assert_array_equal(big.cells[:3, :3], small.cells)
+
+
+def _philox_oracle(spec, coord):
+    """A cell's value from its own numpy generator: one Philox stream per
+    cell, keyed by (seed mod 2**64, coordinate packed at 16 bits per axis)."""
+    code = 0
+    for c in coord:
+        code = (code << 16) | c
+    key = np.array([spec.seed % 2 ** 64, code], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    p = spec.params
+    if spec.kind == "lognormal_iid":
+        return float(np.exp(p["log_mean"] + p["log_sigma"] * rng.standard_normal()))
+    return p["sigma_hi"] if rng.random() < p["prob_hi"] else p["sigma_lo"]
+
+
+_TWO_PHASE = {"prob_hi": 0.4, "sigma_hi": 5.0, "sigma_lo": 0.2}
+
+
+@pytest.mark.parametrize("kind, params, d, level", [
+    ("two_phase_iid", _TWO_PHASE, 1, 4),
+    ("two_phase_iid", _TWO_PHASE, 2, 2),
+    ("two_phase_iid", _TWO_PHASE, 3, 3),  # 19683 cells: more than one chunk
+    ("laminate_1d", _TWO_PHASE, 2, 3),
+    ("lognormal_iid", {"log_mean": 0.3, "log_sigma": 0.7}, 2, 2),
+])
+def test_cell_streams_match_numpy_philox(kind, params, d, level):
+    coords = list(itertools.product(range(3 ** level), repeat=d))
+    sample = coords[::max(1, len(coords) // 400)] + coords[-1:]
+    for seed in (0, 17, 2 ** 63 + 5, 2 ** 64 - 1, -3):
+        spec = EnsembleSpec(kind, params, seed)
+        cells = generate(spec, d, level).cells
+        for coord in sample:
+            if kind == "laminate_1d":
+                expected = np.eye(d)
+                expected[0, 0] = _philox_oracle(spec, coord[:1])
+            else:
+                expected = _philox_oracle(spec, coord) * np.eye(d)
+            assert cells[coord].tobytes() == expected.tobytes(), (seed, coord)
+
+
+def test_generate_2d_level6_in_bounded_memory():
+    # 531441 cells: the cell array and its validated copy take 17 MB each;
+    # the random streams are drawn in fixed-size chunks.
+    spec = EnsembleSpec("two_phase_iid", _TWO_PHASE, 3)
+    tracemalloc.start()
+    try:
+        generate(spec, 2, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 60 * 2 ** 20
 
 
 def test_generate_two_phase_values():
