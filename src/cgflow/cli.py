@@ -272,7 +272,7 @@ def cmd_constants(config: dict, out_dir, threads: int, seed_override) -> int:
         est = flow_mod.estimate_annealed(spec, d, level, n_ab, workers=threads)
         abar = est.abar
     else:
-        abar = coarse_pair(field, cube).a.entries
+        abar = lad.a_all[level][0]
     payload = {
         "dimension": d,
         "level": level,

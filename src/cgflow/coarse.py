@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, ParameterError
-from .grid import CoefficientField, SpdMatrix, TriadicCube, subcubes
+from .grid import CoefficientField, SpdMatrix, TriadicCube, check_spd_array, subcubes
 from .solver import CubeOperator
 
 ORDER_TOL = 1e-9
@@ -49,13 +49,51 @@ class CoarseGrainedPair:
 
 
 def _polarize(op, W: np.ndarray) -> np.ndarray:
-    """Gram matrix (1/|cube|) w_i . K w_j of the nodal columns of W."""
-    return W.T @ (op.stiffness @ W) / op.volume
+    """Gram matrices (1/|subcube|) w_i . K w_j of the nodal columns of W on
+    each subcube of the operator, stacked in subcubes() order."""
+    W3 = W.reshape(op.blocks, -1, W.shape[1])
+    KW3 = (op.stiffness @ W).reshape(W3.shape)
+    return np.swapaxes(W3, 1, 2) @ KW3 / (op.volume / op.blocks)
+
+
+def _spd_stack(mats: np.ndarray, what: str, cube, level) -> np.ndarray:
+    """The symmetric parts of stacked coarse matrices, checked as cell
+    matrices are: symmetric to 1e-12 relative, positive definite."""
+    try:
+        check_spd_array(mats, what)
+    except ParameterError as exc:
+        raise ConsistencyError(
+            f"coarse pairs of the level-{level} subcubes of {cube} are not SPD: {exc}"
+        ) from exc
+    return 0.5 * (mats + np.swapaxes(mats, 1, 2))
+
+
+def level_pairs(field: CoefficientField, cube: TriadicCube, level: int):
+    """(a, a_*, a_*^{-1}, residuals) on every level-`level` subcube of `cube`
+    (level >= 1), each a (count, d, d) stack in subcubes() order, from one
+    block-diagonal Dirichlet and one Neumann solve, each with the d unit
+    vectors as right-hand sides; residuals holds the worst subcube's residual
+    of each solve.  Every pair is checked: a and a_*^{-1} symmetric positive
+    definite, and a_* <= a to ORDER_TOL.  Nothing is memoized."""
+    op = CubeOperator(field, cube, level)
+    eye = np.eye(field.dimension)
+    wd = op.solve_dirichlet(eye)
+    wn = op.solve_neumann(eye)
+    a = _spd_stack(_polarize(op, wd.values), "a matrices", cube, level)
+    a_star_inv = _spd_stack(_polarize(op, wn.values), "a_*^{-1} matrices", cube, level)
+    a_star = _spd_stack(np.linalg.inv(a_star_inv), "a_* matrices", cube, level)
+    gap_min = np.linalg.eigvalsh(a - a_star)[:, 0]
+    bad = np.flatnonzero(gap_min < -ORDER_TOL * np.linalg.eigvalsh(a)[:, -1])
+    if bad.size:
+        raise ConsistencyError(
+            f"ordering a_* <= a violated on {subcubes(cube, level)[bad[0]]}: "
+            f"min gap eigenvalue {gap_min[bad[0]]:.3e}"
+        )
+    return a, a_star, a_star_inv, (wd.residual, wn.residual)
 
 
 def coarse_pair(field: CoefficientField, cube: TriadicCube) -> CoarseGrainedPair:
-    """Compute (a(cube), a_*(cube)) by one Dirichlet and one Neumann solve,
-    each with the d unit vectors as right-hand sides.
+    """Compute (a(cube), a_*(cube)): the one-cube case of level_pairs.
 
     Results are memoized per field while it lives, keyed by cube.
     A unit cell needs no solve: both matrices equal the cell matrix exactly.
@@ -66,24 +104,8 @@ def coarse_pair(field: CoefficientField, cube: TriadicCube) -> CoarseGrainedPair
     memo = _PAIRS.setdefault(field, {})
     if cube in memo:
         return memo[cube]
-
-    op = CubeOperator(field, cube)
-    eye = np.eye(field.dimension)
-    wd = op.solve_dirichlet(eye)
-    wn = op.solve_neumann(eye)
-    try:
-        a_mat = SpdMatrix(_polarize(op, wd.values))
-        a_star_inv = SpdMatrix(_polarize(op, wn.values))
-        a_star_mat = a_star_inv.inverse()
-    except ParameterError as exc:
-        raise ConsistencyError(f"coarse pair on {cube} is not SPD: {exc}") from exc
-
-    gap_min = np.linalg.eigvalsh(a_mat.entries - a_star_mat.entries)[0]
-    if gap_min < -ORDER_TOL * a_mat.spectral_norm():
-        raise ConsistencyError(
-            f"ordering a_* <= a violated on {cube}: min gap eigenvalue {gap_min:.3e}"
-        )
-    pair = CoarseGrainedPair(cube, a_mat, a_star_mat, (wd.residual, wn.residual))
+    a, a_star, _, residuals = level_pairs(field, cube, cube.level)
+    pair = CoarseGrainedPair(cube, SpdMatrix(a[0]), SpdMatrix(a_star[0]), residuals)
     memo[cube] = pair
     return pair
 

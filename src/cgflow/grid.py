@@ -123,14 +123,14 @@ class SpdMatrix:
         return [float(x) for x in self.entries.ravel()]
 
 
-def check_spd_array(arr: np.ndarray) -> None:
+def check_spd_array(arr: np.ndarray, what: str = "cell matrices") -> None:
     """Validate a stacked (..., d, d) array of SPD matrices."""
     scale = np.abs(arr).max(axis=(-2, -1))
     asym = np.abs(arr - np.swapaxes(arr, -2, -1)).max(axis=(-2, -1))
     if np.any(asym > 1e-12 * np.maximum(scale, 1e-300)):
-        raise ParameterError("cell matrices are not symmetric")
+        raise ParameterError(f"{what} are not symmetric")
     if np.any(np.linalg.eigvalsh(arr)[..., 0] <= 0):
-        raise ParameterError("cell matrices are not positive definite")
+        raise ParameterError(f"{what} are not positive definite")
 
 
 @dataclass(frozen=True)
@@ -161,6 +161,13 @@ class EnsembleSpec:
                 raise ParameterError("need 0 < sigma_lo <= sigma_hi")
         if self.kind == "lognormal_iid" and p["log_sigma"] < 0:
             raise ParameterError("log_sigma must be nonnegative")
+        if self.kind == "explicit":
+            try:
+                kind = np.asarray(p["cells"]).dtype.kind
+            except ValueError as exc:  # ragged nesting
+                raise ParameterError(f"explicit cells must be numbers: {exc}") from exc
+            if kind not in "iuf":
+                raise ParameterError(f"explicit cells must be numbers, got {p['cells']!r}")
         object.__setattr__(self, "seed", int(self.seed))
 
     def with_seed(self, seed: int) -> "EnsembleSpec":

@@ -16,9 +16,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapacityError, ParameterError
-from .grid import CoefficientField, TriadicCube, subcubes
-from .solver import CubeOperator
-from .coarse import coarse_pair
+from .grid import CoefficientField, TriadicCube
+from .solver import CubeOperator, solve_v
+# coarse_pair stays in this namespace: perfbench/tracing.py wraps it here.
+from .coarse import coarse_pair, level_pairs  # noqa: F401
 
 INF = math.inf
 DEFAULT_BUDGET_CAP = 2_000_000
@@ -200,7 +201,9 @@ class MultiscaleLadder:
 
 def ladder(field: CoefficientField, cube: TriadicCube,
            budget_cap: int = DEFAULT_BUDGET_CAP) -> MultiscaleLadder:
-    """Coarse pairs on every subcube at every level 0..m."""
+    """Coarse pairs on every subcube at every level 0..m: the cells at level
+    0, then one level_pairs stack (one block-diagonal Dirichlet and one
+    Neumann solve) per level.  The pairs do not enter coarse_pair's memo."""
     d = field.dimension
     m = cube.level
     total = sum(3 ** (d * (m - k)) for k in range(m + 1))
@@ -209,20 +212,12 @@ def ladder(field: CoefficientField, cube: TriadicCube,
             f"ladder needs {total} subcube solves, above the cap {budget_cap}"
         )
 
-    a_all, ainv_all = [], []
-    for k in range(m + 1):
-        if k == 0:
-            cells = field.cells_in(cube).reshape(-1, d, d)
-            a_all.append(cells)
-            ainv_all.append(np.linalg.inv(cells))
-        else:
-            mats_a, mats_ainv = [], []
-            for sub in subcubes(cube, k):
-                pair = coarse_pair(field, sub)
-                mats_a.append(pair.a.entries)
-                mats_ainv.append(pair.a_star_inv)
-            a_all.append(np.array(mats_a))
-            ainv_all.append(np.array(mats_ainv))
+    cells = field.cells_in(cube).reshape(-1, d, d)
+    a_all, ainv_all = [cells], [np.linalg.inv(cells)]
+    for k in range(1, m + 1):
+        a, _, a_star_inv, _ = level_pairs(field, cube, k)
+        a_all.append(a)
+        ainv_all.append(a_star_inv)
 
     max_a = np.array([np.linalg.eigvalsh(arr)[:, -1].max() for arr in a_all])
     max_ainv = np.array([np.linalg.eigvalsh(arr)[:, -1].max() for arr in ainv_all])
@@ -325,6 +320,13 @@ def cg_poincare_check(field: CoefficientField, cube: TriadicCube, u: np.ndarray,
     return report
 
 
+def _mean_j(lad: MultiscaleLadder, k: int, p, q) -> float:
+    """Mean over the level-k subcubes of J = 1/2 p.a p + 1/2 q.a_*^{-1} q - p.q."""
+    pq = np.stack([p, q])
+    pairs = np.stack([lad.a_all[k], lad.a_star_inv_all[k]], axis=1)
+    return float(0.5 * np.einsum("si,bsij,sj->", pq, pairs, pq) / len(pairs) - p @ q)
+
+
 def weak_norm_diagnostics(field: CoefficientField, cube: TriadicCube,
                           p, q_vec, p0, q0, s: float, t: float,
                           s_prime=None, t_prime=None, base_level: int = 0) -> dict:
@@ -332,9 +334,6 @@ def weak_norm_diagnostics(field: CoefficientField, cube: TriadicCube,
     J(cube, p, q): the two left-hand sides and every term of the right-hand
     sides.  The bounds carry an unspecified dimensional constant and are
     reported, never asserted."""
-    from .solver import solve_v
-    from .coarse import j_functional
-
     d = field.dimension
     m = cube.level
     p = np.asarray(p, dtype=float)
@@ -361,7 +360,7 @@ def weak_norm_diagnostics(field: CoefficientField, cube: TriadicCube,
     lhs_grad = 3.0 ** (-s * m) * besov_ring(grads - p0, d, s, 2.0, 1.0)
     lhs_flux = 3.0 ** (-t * m) * besov_ring(fluxes - q0, d, t, 2.0, 1.0)
 
-    j_m = j_functional(field, cube, p, q_vec)
+    j_m = _mean_j(lad, m, p, q_vec)
     lam_sp = ellipticity_constants(lad, ExponentSet(s_prime, s_prime, 1.0))[1]
     Lam_tp = ellipticity_constants(lad, ExponentSet(t_prime, t_prime, 1.0))[0]
 
@@ -379,15 +378,7 @@ def weak_norm_diagnostics(field: CoefficientField, cube: TriadicCube,
         dev_flux.append(
             3.0 ** (-t * (m - j)) * float(np.sqrt(np.mean(np.sum(df ** 2, axis=1))))
         )
-        j_avg = float(
-            np.mean(
-                [
-                    0.5 * p @ a_j[i] @ p + 0.5 * q_vec @ ainv_j[i] @ q_vec - p @ q_vec
-                    for i in range(a_j.shape[0])
-                ]
-            )
-        )
-        j_increments.append(max(j_avg - j_m, 0.0))
+        j_increments.append(max(_mean_j(lad, j, p, q_vec) - j_m, 0.0))
 
     jsum_grad = lam_sp ** -0.5 * sum(
         3.0 ** (-(s - s_prime) * (m - j)) * inc ** 0.5

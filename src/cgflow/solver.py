@@ -47,70 +47,114 @@ DEFAULT_SETTINGS = SolverSettings()
 PCG_RESTARTS = 3
 
 
-def _solve_spd(A, B, singular: bool = False):
-    """Solve A X = B for a CSR SPD matrix A and a block B with one
-    right-hand side per column (a vector is one column); returns X and the
-    worst column's true relative residual.
+def _restrict(A, keep: np.ndarray):
+    """A[keep][:, keep] for a boolean node mask, read from A's CSR arrays in
+    one pass: the kept entries in their order, the kept nodes renumbered
+    consecutively."""
+    sel = np.repeat(keep, np.diff(A.indptr)) & keep[A.indices]
+    # Kept entries before each row's first entry.
+    before = np.concatenate(([0], np.cumsum(sel)))[A.indptr]
+    indptr = np.append(before[:-1][keep], before[-1])
+    new = np.cumsum(keep) - 1
+    m = indptr.size - 1
+    return scipy.sparse.csr_array(
+        (A.data[sel], new[A.indices[sel]], indptr), shape=(m, m)
+    )
 
-    With `singular`, A is a Neumann stiffness matrix, semidefinite with the
-    constants as kernel, and each column of B sums to zero; the columns of X
-    are the zero-mean solutions.  The upper band of A is read from its CSR
-    arrays; within `direct_cost_cap` one banded Cholesky solve covers all
-    columns, with node 0 pinned for the singular system (its row zeroed and
-    its column dropped).  Above the cap, Jacobi-PCG runs column by column on
-    the whole system, restarted from its iterate up to PCG_RESTARTS times
-    while the true residual misses `tolerance`; a column that still misses
-    it raises ConvergenceError.  Zero columns give zero solutions.  The
-    settings are read at call time."""
+
+def _upper_band(A) -> np.ndarray:
+    """LAPACK upper band storage of a CSR matrix of half-bandwidth b (its
+    largest col - row): band[b + i - j, j] = A[i, j], laid out column by
+    column (Fortran order) so that LAPACK factors it in place."""
+    n = A.shape[0]
+    offsets = A.indices - np.repeat(np.arange(n), np.diff(A.indptr))
+    b = int(offsets.max())
+    upper = offsets >= 0
+    return np.bincount(
+        A.indices[upper] * (b + 1) + b - offsets[upper],
+        weights=A.data[upper], minlength=n * (b + 1),
+    ).reshape(n, b + 1).T
+
+
+def _solve_spd(A, B, blocks: int = 1, singular: bool = False):
+    """Solve A X = B for a CSR SPD matrix A, block diagonal with `blocks`
+    equal diagonal blocks, and a block B with one right-hand side per column
+    (a vector is one column); returns X and the worst block's and column's
+    true relative residual, each block's residual relative to its own part
+    of the right-hand side.
+
+    With `singular`, each diagonal block of A is a Neumann stiffness matrix,
+    semidefinite with the constants as kernel, and each block's part of each
+    column of B sums to zero; the columns of X are the solutions of zero mean
+    on every block.  Within `direct_cost_cap` one banded Cholesky solve
+    covers all blocks and columns: the upper band is read from the CSR
+    arrays, of the system with the first node of every block pinned (its row
+    and column dropped) when singular.  Above the cap, Jacobi-PCG runs column
+    by column on the whole system, restarted from its iterate up to
+    PCG_RESTARTS times while some block's true residual misses `tolerance`;
+    a column that still misses it raises ConvergenceError.  Zero parts of
+    B give zero solutions.  The settings are read at call time."""
     settings = DEFAULT_SETTINGS
     n = A.shape[0]
     rhs = np.reshape(B, (n, -1))
     X = np.zeros(rhs.shape)
-    bnorm = np.linalg.norm(rhs, axis=0)
-    live = np.flatnonzero(bnorm)
+    gnorm = np.linalg.norm(rhs, axis=0)
+    live = np.flatnonzero(gnorm)
     if live.size == 0:
         return X.reshape(np.shape(B)), 0.0
-    pin = 1 if singular else 0
+    # Norms of each block's part of each right-hand side; a zero part has a
+    # zero solution and residual, and sets no bound.
+    bnorm = np.linalg.norm(rhs.reshape(blocks, -1, rhs.shape[1]), axis=1)
+
+    def relative(r, norms):
+        return np.divide(r, norms, out=np.zeros(r.shape), where=norms > 0)
+
     offsets = A.indices - np.repeat(np.arange(n), np.diff(A.indptr))
-    b = int(offsets.max())
-    if (n - pin) * (b + 1) ** 2 <= settings.direct_cost_cap:
-        # Upper band storage band[b + i - j, j] = A[i, j], laid out column by
-        # column (Fortran order) so that LAPACK factors it in place.
-        upper = offsets >= 0
-        band = np.bincount(
-            A.indices[upper] * (b + 1) + b - offsets[upper],
-            weights=A.data[upper], minlength=n * (b + 1),
-        ).reshape(n, b + 1).T
-        if singular:
-            band[b - np.arange(b + 1), np.arange(b + 1)] = 0.0  # row 0
-        X[pin:] = scipy.linalg.solveh_banded(
-            band[:, pin:], rhs[pin:], overwrite_ab=True, check_finite=False
+    unknowns = n - blocks if singular else n
+    if unknowns * (int(offsets.max()) + 1) ** 2 <= settings.direct_cost_cap:
+        keep = slice(None)
+        if singular:  # pin the first node of every block
+            keep = np.ones(n, dtype=bool)
+            keep[::n // blocks] = False
+        X[keep] = scipy.linalg.solveh_banded(
+            _upper_band(_restrict(A, keep) if singular else A), rhs[keep],
+            overwrite_ab=True, check_finite=False,
         )
         if singular:
-            for column in X.T:  # each mean summed as for a single solve
-                column -= column.mean()
-        res = np.linalg.norm(A @ X - rhs, axis=0)[live] / bnorm[live]
+            # Each block's column means summed as for a single column.
+            X3 = X.reshape(blocks, -1, X.shape[1])
+            X3 -= np.ascontiguousarray(X3.transpose(0, 2, 1)).mean(axis=-1)[:, None]
+        r = (A @ X - rhs).reshape(blocks, -1, rhs.shape[1])
+        res = relative(np.linalg.norm(r, axis=1), bnorm)[:, live]
     else:
         diag = A.diagonal()
         M = scipy.sparse.linalg.LinearOperator((n, n), matvec=lambda v: v / diag)
-        res = np.empty(live.size)
+        res = np.empty((blocks, live.size))
         for k, j in enumerate(live):
+            # CG stops on the whole column's residual; scaled by the smallest
+            # block's share, that bound covers every block's own.
+            floor = bnorm[:, j][bnorm[:, j] > 0].min() / gnorm[j]
             x = None
             for _ in range(1 + PCG_RESTARTS):
                 x, info = scipy.sparse.linalg.cg(
-                    A, rhs[:, j], x0=x, rtol=settings.tolerance, atol=0.0,
-                    maxiter=settings.max_iter_factor * n, M=M,
+                    A, rhs[:, j], x0=x, rtol=settings.tolerance * floor,
+                    atol=0.0, maxiter=settings.max_iter_factor * n, M=M,
                 )
                 if singular:
-                    x -= x.mean()
-                res[k] = np.linalg.norm(A @ x - rhs[:, j]) / bnorm[j]
-                if info != 0 or res[k] <= settings.tolerance:
+                    x3 = x.reshape(blocks, -1)
+                    x3 -= x3.mean(axis=1, keepdims=True)
+                # Block norms as np.linalg.norm takes one vector (a BLAS dot).
+                r3 = (A @ x - rhs[:, j]).reshape(blocks, 1, -1)
+                rn = np.sqrt((r3 @ r3.transpose(0, 2, 1)).ravel())
+                res[:, k] = relative(rn, bnorm[:, j])
+                worst = res[:, k].max()
+                if info != 0 or worst <= settings.tolerance:
                     break
-            if info != 0 or res[k] > settings.tolerance:
+            if info != 0 or worst > settings.tolerance:
                 raise ConvergenceError(
                     f"PCG missed tolerance {settings.tolerance:.0e} "
-                    f"(info={info}, residual {res[k]:.3e})",
-                    residual=float(res[k]),
+                    f"(info={info}, residual {worst:.3e})",
+                    residual=float(worst),
                 )
             X[:, j] = x
     return X.reshape(np.shape(B)), float(res.max())
@@ -148,30 +192,46 @@ def _reference_grad_integrals(d: int):
 
 
 class CubeOperator:
-    """Assembled energy form on one cube of a coefficient field.
+    """Assembled energy form on one cube of a coefficient field, or on all
+    level-`level` subcubes of the cube at once.
 
     Provides the stiffness matrix K with K[w, w] = sum over cells of
     int grad w . a_cell grad w, together with the quadratures needed for
     energies, mean gradients and mean fluxes.  Loads and solves also take a
     block with one column per slope, flux or set of boundary values.
+
+    With `level` below the cube's level, the nodal functions are continuous
+    on each subcube but not across subcube faces: K is block diagonal with
+    one block per subcube, in subcubes() order, each block that subcube's
+    own operator with its nodes numbered as there.  Solves act on every
+    subcube at once, and the quadratures average over the whole cube.
     """
 
-    def __init__(self, field: CoefficientField, cube: TriadicCube):
+    def __init__(self, field: CoefficientField, cube: TriadicCube, level=None):
         if not field.cube.contains(cube):
             raise ParameterError(f"cube {cube} not inside field cube {field.cube}")
+        if level is None:
+            level = cube.level
+        if not 0 <= level <= cube.level:
+            raise ParameterError(f"subcube level {level} outside [0, {cube.level}]")
         d = field.dimension
-        side = cube.side
+        side = 3 ** level
+        count = 3 ** (cube.level - level)  # subcubes per axis
         self.field = field
         self.cube = cube
         self.dimension = d
         self.side = side
-        self.n_nodes = (side + 1) ** d
+        self.blocks = count ** d
+        self.n_nodes = self.blocks * (side + 1) ** d
         self.volume = float(cube.volume)
 
         corners, G, avg_grad = _reference_grad_integrals(d)
         self._avg_grad = avg_grad
 
-        cells = field.cells_in(cube).reshape(-1, d, d)  # C-order over coords
+        # Cells grouped by subcube, each group in C order over its coords.
+        grouped = field.cells_in(cube).reshape((count, side) * d + (d, d))
+        axes = tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))
+        cells = grouped.transpose(axes + (2 * d, 2 * d + 1)).reshape(-1, d, d)
         self.cell_matrices = cells
         self.n_cells = cells.shape[0]
 
@@ -181,8 +241,10 @@ class CubeOperator:
         ).reshape(-1, d)
         strides = np.array([(side + 1) ** (d - 1 - a) for a in range(d)])
         corner_offsets = np.array(corners)  # (2^d, d)
+        local_nodes = (cell_coords[:, None, :] + corner_offsets[None, :, :]) @ strides
+        first = np.arange(self.blocks) * (side + 1) ** d
         # (n_cells, 2^d)
-        self.cell_nodes = (cell_coords[:, None, :] + corner_offsets[None, :, :]) @ strides
+        self.cell_nodes = (first[:, None, None] + local_nodes).reshape(-1, len(corners))
 
         ke = np.einsum("cab,abij->cij", cells, G)  # per-cell element matrices
         nb = len(corners)
@@ -195,9 +257,9 @@ class CubeOperator:
         node_coords = np.stack(
             np.meshgrid(*[np.arange(side + 1)] * d, indexing="ij"), axis=-1
         ).reshape(-1, d)
-        self.node_coords = node_coords
+        self.node_coords = np.tile(node_coords, (self.blocks, 1))
         self.boundary_mask = np.any(
-            (node_coords == 0) | (node_coords == side), axis=1
+            (self.node_coords == 0) | (self.node_coords == side), axis=1
         )
         self.interior_idx = np.flatnonzero(~self.boundary_mask)
         self.boundary_idx = np.flatnonzero(self.boundary_mask)
@@ -223,18 +285,20 @@ class CubeOperator:
         return self.cell_fluxes(w).sum(axis=0) / self.volume
 
     def affine(self, p: np.ndarray) -> np.ndarray:
-        """Nodal values of l_p(x) = p . x in cube-local coordinates."""
+        """Nodal values of l_p(x) = p . x in (sub)cube-local coordinates."""
         return self.node_coords @ np.asarray(p, dtype=float)
 
     def flux_load(self, q: np.ndarray) -> np.ndarray:
-        """Load vector b_i = int q . grad phi_i over the cube."""
+        """Load vector b_i = int q . grad phi_i over the cube (per subcube)."""
         q = np.asarray(q, dtype=float)
-        per_corner = self._avg_grad @ q  # (2^d,) + q.shape[1:]
-        b = np.zeros((self.n_nodes,) + q.shape[1:])
-        # One value per index entry: ufunc.at misreads values it broadcasts.
-        values = np.tile(per_corner, (self.n_cells,) + (1,) * (q.ndim - 1))
-        np.add.at(b, self.cell_nodes.ravel(), values)
-        return b
+        per_corner = (self._avg_grad @ q).reshape(len(self._avg_grad), -1)
+        cols = per_corner.shape[1]
+        # Each node's contributions summed in cell order.
+        index = self.cell_nodes[..., None] * cols + np.arange(cols)
+        values = np.broadcast_to(per_corner, index.shape)
+        b = np.bincount(index.ravel(), weights=values.ravel(),
+                        minlength=self.n_nodes * cols)
+        return b.reshape((self.n_nodes,) + q.shape[1:])
 
     def interior_residual(self, w: np.ndarray) -> float:
         """Relative residual of the harmonicity condition at interior nodes."""
@@ -259,7 +323,8 @@ class CubeOperator:
         w[self.boundary_idx] = boundary_values
         ii = self.interior_idx
         K = self.stiffness
-        w[ii], res = _solve_spd(K[ii, :][:, ii], -(K @ w)[ii])
+        w[ii], res = _solve_spd(_restrict(K, ~self.boundary_mask), -(K @ w)[ii],
+                                self.blocks)
         return BlockSolution(self, w, res)
 
     def solve_dirichlet(self, p) -> BlockSolution:
@@ -269,8 +334,10 @@ class CubeOperator:
 
     def solve_neumann(self, q) -> BlockSolution:
         """Maximizer of (1/|cube|) int (q . grad w - 1/2 grad w . a grad w),
-        gauge-fixed to zero mean.  The attained maximum is energy(w)."""
-        w, res = _solve_spd(self.stiffness, self.flux_load(q), singular=True)
+        gauge-fixed to zero mean on each subcube.  The attained maximum is
+        energy(w)."""
+        w, res = _solve_spd(self.stiffness, self.flux_load(q), self.blocks,
+                            singular=True)
         return BlockSolution(self, w, res)
 
 

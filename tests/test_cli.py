@@ -239,6 +239,9 @@ def test_solver_key_is_unknown(tmp_path, capsys, command, config):
      "seed"),
     ("verify", dict(VERIFY, seed=-1), "seed"),
     ("verify", dict(VERIFY, seed=2 ** 64), "seed"),
+    ("coarse-grain", dict(COARSE_1D, ensemble={"kind": "explicit",
+                                               "params": {"cells": ["a", 1, 1]}}),
+     "cells"),
 ])
 def test_bad_integer_settings_are_config_errors(tmp_path, capsys, command, config, key):
     cfg = write_config(tmp_path, "c.json", config)

@@ -4,21 +4,26 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cgflow import (
+    CoefficientField,
     CubeOperator,
     EnsembleSpec,
     ExponentSet,
     besov_positive,
     besov_ring,
     cg_poincare_check,
+    coarse_pair,
     ellipticity_constants,
     generate,
     harmonic_pool,
     ladder,
     multiscale_defect,
+    subcubes,
     weak_norm_diagnostics,
 )
+from cgflow.coarse import _PAIRS
 from cgflow.errors import CapacityError, ParameterError
 from cgflow.multiscale import c_exp
 
@@ -195,6 +200,102 @@ def test_ladder_budget_cap():
     f = lognormal_field(2, 2, seed=6)
     with pytest.raises(CapacityError):
         ladder(f, f.cube, budget_cap=10)
+
+
+def two_phase_field(d, m, contrast, seed):
+    hi = contrast ** 0.5
+    spec = EnsembleSpec(
+        "two_phase_iid", {"prob_hi": 0.5, "sigma_hi": hi, "sigma_lo": 1.0 / hi}, seed
+    )
+    return generate(spec, d, m)
+
+
+def anisotropic_field(d, m, seed):
+    # Full SPD cell matrices: the stiffness matrix couples every direction.
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal((3 ** (d * m), d, d))
+    cells = r @ r.transpose(0, 2, 1) + 0.5 * np.eye(d)
+    return CoefficientField(d, m, cells.reshape((3 ** m,) * d + (d, d)))
+
+
+@pytest.mark.parametrize("field", [
+    pytest.param(lambda: lognormal_field(1, 3, seed=70), id="1d-L3"),
+    pytest.param(lambda: lognormal_field(2, 3, seed=70), id="2d-L3-lognormal"),
+    pytest.param(lambda: two_phase_field(2, 3, 1e4, seed=70), id="2d-L3-two-phase-1e4"),
+    pytest.param(lambda: lognormal_field(3, 2, seed=70), id="3d-L2"),
+    pytest.param(lambda: anisotropic_field(2, 2, seed=70), id="2d-L2-anisotropic"),
+])
+def test_ladder_entries_equal_fresh_pairs(field):
+    # Each level's block-diagonal solve gives, in subcubes() order, the pairs
+    # that one-cube solves give; none of them enters the pair memo.
+    f = field()
+    lad = ladder(f, f.cube)
+    assert f not in _PAIRS
+    for k in range(f.ambient_level + 1):
+        subs = subcubes(f.cube, k)
+        shape = (len(subs), f.dimension, f.dimension)
+        assert lad.a_all[k].shape == lad.a_star_inv_all[k].shape == shape
+        for sub, a, ainv in zip(subs, lad.a_all[k], lad.a_star_inv_all[k]):
+            pair = coarse_pair(f, sub)
+            for mine, fresh in ((a, pair.a.entries), (ainv, pair.a_star_inv)):
+                scale = np.abs(fresh).max()
+                np.testing.assert_allclose(mine, fresh, rtol=0.0, atol=1e-12 * scale)
+
+
+def test_2d_level4_ladder_is_eight_banded_solves_in_bounded_memory(banded_calls):
+    # One Dirichlet and one Neumann solve per level 1..4 (820 subcubes); the
+    # level-4 band is about 4.5 MB.
+    f = lognormal_field(2, 4, seed=71)
+    tracemalloc.start()
+    try:
+        lad = ladder(f, f.cube)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(banded_calls) == 8
+    assert [len(a) for a in lad.a_all] == [6561, 729, 81, 9, 1]
+    assert peak < 16 * 2 ** 20
+
+
+def _mean_children(values, d):
+    """Mean over the 3^d children of each parent, for values stacked in
+    subcubes() order at the children's level."""
+    c = round(len(values) ** (1.0 / d)) // 3
+    return values.reshape((c, 3) * d).mean(axis=tuple(range(1, 2 * d, 2))).ravel()
+
+
+def _lognormal(sigma):
+    return ("lognormal_iid", {"log_mean": 0.0, "log_sigma": sigma})
+
+
+def _two_phase(contrast, prob_hi):
+    hi = contrast ** 0.5
+    return ("two_phase_iid", {"prob_hi": prob_hi, "sigma_hi": hi, "sigma_lo": 1.0 / hi})
+
+
+_VECTORS = st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(d=st.integers(1, 3), level=st.integers(1, 3),
+       ensemble=st.one_of(st.builds(_lognormal, st.floats(0.0, 2.0)),
+                          st.builds(_two_phase, st.floats(1.0, 1e4), st.floats(0.0, 1.0))),
+       seed=st.integers(0, 2 ** 32 - 1), p=_VECTORS, q=_VECTORS)
+def test_ladder_j_is_subadditive_between_levels(d, level, ensemble, seed, p, q):
+    # J(cube, p, q) is at most the mean of J over the cube's 3^d children,
+    # to 1e-9 relative to the size of its quadratic terms.
+    m = min(level, 2) if d == 3 else level
+    f = generate(EnsembleSpec(*ensemble, seed), d, m)
+    lad = ladder(f, f.cube)
+    p, q = np.array(p[:d]), np.array(q[:d])
+    quad = [0.5 * (np.einsum("i,bij,j->b", p, a, p)
+                   + np.einsum("i,bij,j->b", q, ainv, q))
+            for a, ainv in zip(lad.a_all, lad.a_star_inv_all)]
+    j = [x - p @ q for x in quad]
+    for k in range(1, m + 1):
+        defect = _mean_children(j[k - 1], d) - j[k]
+        scale = np.maximum(_mean_children(quad[k - 1], d), quad[k])
+        assert np.all(defect >= -1e-9 * scale)
 
 
 def test_constants_collapse_on_constant_field():

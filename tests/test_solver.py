@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cgflow import (
     CoefficientField,
@@ -9,6 +10,7 @@ from cgflow import (
     harmonic_pool,
     root_cube,
     solve_v,
+    subcubes,
 )
 from cgflow.errors import ConvergenceError, PreconditionError
 
@@ -209,6 +211,59 @@ def test_stacked_solves_equal_column_solves(solver_settings, banded_calls, backe
     # One banded solve per call (3 kinds x 4 calls, plus the last one) but
     # for the two calls whose single column is zero.
     assert len(banded_calls) == (11 if backend == "banded" else 0)
+
+
+@pytest.mark.parametrize("backend", ["banded", "pcg"])
+def test_block_diagonal_solves_equal_per_cube_solves(solver_settings, banded_calls,
+                                                     backend):
+    # The level-1 operator of a 2d L2 cube solves its 9 subcubes at once:
+    # one banded solve per call, or PCG per column to each subcube's own
+    # tolerance.  Each block equals that subcube's own solve.
+    f = lognormal_field(2, 2, seed=17)
+    settings = solver_settings(direct_cost_cap=0) if backend == "pcg" else None
+    op = CubeOperator(f, f.cube, level=1)
+    subs = [CubeOperator(f, sub) for sub in subcubes(f.cube, 1)]
+    assert op.blocks == 9 and op.n_nodes == 9 * 16
+    np.testing.assert_array_equal(op.stiffness.toarray(), scipy.linalg.block_diag(
+        *[s.stiffness.toarray() for s in subs]))
+    data = np.random.default_rng(17).standard_normal((len(op.boundary_idx), 2))
+    per_block = data.reshape(9, -1, 2)
+    eye = np.eye(2)
+    solves = [(op.solve_dirichlet(eye), [s.solve_dirichlet(eye) for s in subs]),
+              (op.solve_neumann(eye), [s.solve_neumann(eye) for s in subs]),
+              (op.solve_dirichlet_data(data),
+               [s.solve_dirichlet_data(x) for s, x in zip(subs, per_block)])]
+    for stacked, singles in solves:
+        assert isinstance(stacked.residual, float)
+        values = stacked.values.reshape(9, 16, 2)
+        for block, single in zip(values, singles):
+            if backend == "banded":
+                scale = np.abs(single.values).max()
+                np.testing.assert_allclose(block, single.values, rtol=0.0,
+                                           atol=1e-12 * scale)
+            else:
+                np.testing.assert_allclose(block, single.values, atol=1e-7)
+        if backend == "pcg":
+            assert stacked.residual <= settings.tolerance
+        else:
+            assert stacked.residual < 1e-12
+    # 3 stacked calls and 27 single ones on the banded path.
+    assert len(banded_calls) == (30 if backend == "banded" else 0)
+
+
+def test_block_diagonal_quadratures_average_over_the_cube():
+    # Volume-normalized energies and mean gradients of a stacked operator
+    # are the means of the subcubes' own.
+    f = lognormal_field(2, 2, seed=18)
+    op = CubeOperator(f, f.cube, level=1)
+    subs = [CubeOperator(f, sub) for sub in subcubes(f.cube, 1)]
+    w = np.random.default_rng(18).standard_normal(op.n_nodes)
+    parts = w.reshape(9, 16)
+    assert op.energy(w) == pytest.approx(
+        np.mean([s.energy(x) for s, x in zip(subs, parts)]), rel=1e-13)
+    np.testing.assert_allclose(
+        op.mean_flux(w), np.mean([s.mean_flux(x) for s, x in zip(subs, parts)], axis=0),
+        rtol=1e-13)
 
 
 def test_flux_load_of_stacked_fluxes_is_columnwise():
