@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConsistencyError, ParameterError
 from .grid import CoefficientField, SpdMatrix, TriadicCube, check_spd_array, subcubes
-from .solver import CubeOperator
+from .solver import CubeOperator, stack_level
 
 ORDER_TOL = 1e-9
 
@@ -68,28 +68,55 @@ def _spd_stack(mats: np.ndarray, what: str, cube, level) -> np.ndarray:
     return 0.5 * (mats + np.swapaxes(mats, 1, 2))
 
 
+def _level_grams(field: CoefficientField, cube: TriadicCube, level: int):
+    """Gram matrices of the unit-slope Dirichlet and unit-flux Neumann
+    solutions on every level-`level` subcube of `cube`, each a (count, d, d)
+    stack in subcubes() order, with the worst residual of each kind of
+    solve.  The subcubes are solved in one stack per cube of
+    solver.stack_level."""
+    d = field.dimension
+    parent = stack_level(d, level, cube.level)
+    eye = np.eye(d)
+    dirichlet, neumann, res_d, res_n = [], [], 0.0, 0.0
+    for sub in subcubes(cube, parent):
+        op = CubeOperator(field, sub, level)
+        wd = op.solve_dirichlet(eye)
+        wn = op.solve_neumann(eye)
+        dirichlet.append(_polarize(op, wd.values))
+        neumann.append(_polarize(op, wn.values))
+        res_d, res_n = max(res_d, wd.residual), max(res_n, wn.residual)
+    # Stacks and the blocks within each run in C order over their offsets:
+    # interleave the two offset grids into the subcubes' own.
+    grid = (3 ** (cube.level - parent),) * d + (3 ** (parent - level),) * d
+    axes = [ax for a in range(d) for ax in (a, d + a)] + [2 * d, 2 * d + 1]
+
+    def ordered(stacks):
+        blocks = np.concatenate(stacks).reshape(grid + (d, d))
+        return blocks.transpose(axes).reshape(-1, d, d)
+
+    return ordered(dirichlet), ordered(neumann), (res_d, res_n)
+
+
 def level_pairs(field: CoefficientField, cube: TriadicCube, level: int):
     """(a, a_*, a_*^{-1}, residuals) on every level-`level` subcube of `cube`
-    (level >= 1), each a (count, d, d) stack in subcubes() order, from one
-    block-diagonal Dirichlet and one Neumann solve, each with the d unit
+    (level >= 1), each a (count, d, d) stack in subcubes() order, from
+    block-diagonal Dirichlet and Neumann solves, each with the d unit
     vectors as right-hand sides; residuals holds the worst subcube's residual
-    of each solve.  Every pair is checked: a and a_*^{-1} symmetric positive
-    definite, and a_* <= a to ORDER_TOL.  Nothing is memoized."""
-    op = CubeOperator(field, cube, level)
-    eye = np.eye(field.dimension)
-    wd = op.solve_dirichlet(eye)
-    wn = op.solve_neumann(eye)
-    a = _spd_stack(_polarize(op, wd.values), "a matrices", cube, level)
-    a_star_inv = _spd_stack(_polarize(op, wn.values), "a_*^{-1} matrices", cube, level)
+    of each kind of solve.  Every pair is checked: a and a_*^{-1} symmetric
+    positive definite, and a_* <= a to ORDER_TOL.  Nothing is memoized."""
+    grams_d, grams_n, residuals = _level_grams(field, cube, level)
+    a = _spd_stack(grams_d, "a matrices", cube, level)
+    a_star_inv = _spd_stack(grams_n, "a_*^{-1} matrices", cube, level)
     a_star = _spd_stack(np.linalg.inv(a_star_inv), "a_* matrices", cube, level)
-    gap_min = np.linalg.eigvalsh(a - a_star)[:, 0]
-    bad = np.flatnonzero(gap_min < -ORDER_TOL * np.linalg.eigvalsh(a)[:, -1])
+    eig = np.linalg.eigvalsh(np.stack([a - a_star, a]))
+    gap_min = eig[0, :, 0]
+    bad = np.flatnonzero(gap_min < -ORDER_TOL * eig[1, :, -1])
     if bad.size:
         raise ConsistencyError(
             f"ordering a_* <= a violated on {subcubes(cube, level)[bad[0]]}: "
             f"min gap eigenvalue {gap_min[bad[0]]:.3e}"
         )
-    return a, a_star, a_star_inv, (wd.residual, wn.residual)
+    return a, a_star, a_star_inv, residuals
 
 
 def coarse_pair(field: CoefficientField, cube: TriadicCube) -> CoarseGrainedPair:
@@ -105,7 +132,8 @@ def coarse_pair(field: CoefficientField, cube: TriadicCube) -> CoarseGrainedPair
     if cube in memo:
         return memo[cube]
     a, a_star, _, residuals = level_pairs(field, cube, cube.level)
-    pair = CoarseGrainedPair(cube, SpdMatrix(a[0]), SpdMatrix(a_star[0]), residuals)
+    pair = CoarseGrainedPair(cube, SpdMatrix.checked(a[0]),
+                             SpdMatrix.checked(a_star[0]), residuals)
     memo[cube] = pair
     return pair
 

@@ -109,6 +109,16 @@ class SpdMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
+    @classmethod
+    def checked(cls, entries: np.ndarray) -> "SpdMatrix":
+        """The matrix of entries that check_spd_array has passed, already
+        symmetrized, stored as given without checking them again."""
+        arr = np.array(entries, dtype=float)
+        arr.setflags(write=False)
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "entries", arr)
+        return matrix
+
     @property
     def dimension(self) -> int:
         return self.entries.shape[0]

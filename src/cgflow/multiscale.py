@@ -202,8 +202,10 @@ class MultiscaleLadder:
 def ladder(field: CoefficientField, cube: TriadicCube,
            budget_cap: int = DEFAULT_BUDGET_CAP) -> MultiscaleLadder:
     """Coarse pairs on every subcube at every level 0..m: the cells at level
-    0, then one level_pairs stack (one block-diagonal Dirichlet and one
-    Neumann solve) per level.  The pairs do not enter coarse_pair's memo."""
+    0, then level_pairs per level (one block-diagonal Dirichlet and one
+    Neumann solve per stack, one stack per level while the whole cube's
+    solves are within the direct cost cap).  The pairs do not enter
+    coarse_pair's memo."""
     d = field.dimension
     m = cube.level
     total = sum(3 ** (d * (m - k)) for k in range(m + 1))

@@ -62,99 +62,116 @@ def _restrict(A, keep: np.ndarray):
     )
 
 
-def _upper_band(A) -> np.ndarray:
-    """LAPACK upper band storage of a CSR matrix of half-bandwidth b (its
-    largest col - row): band[b + i - j, j] = A[i, j], laid out column by
-    column (Fortran order) so that LAPACK factors it in place."""
-    n = A.shape[0]
-    offsets = A.indices - np.repeat(np.arange(n), np.diff(A.indptr))
-    b = int(offsets.max())
-    upper = offsets >= 0
-    return np.bincount(
-        A.indices[upper] * (b + 1) + b - offsets[upper],
-        weights=A.data[upper], minlength=n * (b + 1),
-    ).reshape(n, b + 1).T
+def banded_cost(d: int, level: int) -> int:
+    """Cost m (b + 1)^2 of the banded Neumann solve of one level-`level`
+    cube, the larger of its two solves: m = (s + 1)^d - 1 unknowns and
+    half-bandwidth b = ((s + 1)^d - 1) / s for side s = 3^level."""
+    side = 3 ** level
+    m = (side + 1) ** d - 1
+    return m * (m // side + 1) ** 2
+
+
+def stack_level(d: int, level: int, top: int) -> int:
+    """Level of the cubes whose level-`level` subcubes one block-diagonal
+    solve stacks, among the subcubes of a level-`top` cube: the largest
+    level up to `top` at which one cube's solves take the banded path, or
+    `level` itself if its own cubes' do not.  A stack thus needs no more
+    work or band memory than one direct solve the cap admits: its blocks'
+    band is narrower than their parent's.  Read at call time."""
+    cap = DEFAULT_SETTINGS.direct_cost_cap
+    parent = level
+    while parent < top and banded_cost(d, parent + 1) <= cap:
+        parent += 1
+    return parent
 
 
 def _solve_spd(A, B, blocks: int = 1, singular: bool = False):
     """Solve A X = B for a CSR SPD matrix A, block diagonal with `blocks`
     equal diagonal blocks, and a block B with one right-hand side per column
     (a vector is one column); returns X and the worst block's and column's
-    true relative residual, each block's residual relative to its own part
-    of the right-hand side.
+    true relative residual, each block's relative to its own part of the
+    right-hand side.
 
     With `singular`, each diagonal block of A is a Neumann stiffness matrix,
     semidefinite with the constants as kernel, and each block's part of each
     column of B sums to zero; the columns of X are the solutions of zero mean
     on every block.  Within `direct_cost_cap` one banded Cholesky solve
-    covers all blocks and columns: the upper band is read from the CSR
-    arrays, of the system with the first node of every block pinned (its row
-    and column dropped) when singular.  Above the cap, Jacobi-PCG runs column
-    by column on the whole system, restarted from its iterate up to
-    PCG_RESTARTS times while some block's true residual misses `tolerance`;
-    a column that still misses it raises ConvergenceError.  Zero parts of
-    B give zero solutions.  The settings are read at call time."""
+    covers all blocks and columns, with the upper band read from the CSR
+    arrays and, when singular, the first node of every block pinned.  A
+    stack above the cap is solved one block at a time.  A single block
+    above it runs Jacobi-PCG column by column, restarted from its iterate up
+    to PCG_RESTARTS times while the true residual misses `tolerance`; a
+    column that still misses it raises ConvergenceError.  Zero columns give
+    zero solutions.  The settings are read at call time."""
     settings = DEFAULT_SETTINGS
     n = A.shape[0]
     rhs = np.reshape(B, (n, -1))
     X = np.zeros(rhs.shape)
-    gnorm = np.linalg.norm(rhs, axis=0)
-    live = np.flatnonzero(gnorm)
+    bnorm = np.linalg.norm(rhs, axis=0)
+    live = np.flatnonzero(bnorm)
     if live.size == 0:
         return X.reshape(np.shape(B)), 0.0
-    # Norms of each block's part of each right-hand side; a zero part has a
-    # zero solution and residual, and sets no bound.
-    bnorm = np.linalg.norm(rhs.reshape(blocks, -1, rhs.shape[1]), axis=1)
-
-    def relative(r, norms):
-        return np.divide(r, norms, out=np.zeros(r.shape), where=norms > 0)
-
-    offsets = A.indices - np.repeat(np.arange(n), np.diff(A.indptr))
+    size = n // blocks
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    offsets = A.indices - rows
+    b = int(offsets.max())
     unknowns = n - blocks if singular else n
-    if unknowns * (int(offsets.max()) + 1) ** 2 <= settings.direct_cost_cap:
-        keep = slice(None)
-        if singular:  # pin the first node of every block
-            keep = np.ones(n, dtype=bool)
-            keep[::n // blocks] = False
-        X[keep] = scipy.linalg.solveh_banded(
-            _upper_band(_restrict(A, keep) if singular else A), rhs[keep],
-            overwrite_ab=True, check_finite=False,
+    if unknowns * (b + 1) ** 2 <= settings.direct_cost_cap:
+        upper, load = offsets >= 0, rhs
+        if singular:
+            # Pinned nodes get zero rows and columns and a unit diagonal.
+            pinned = np.zeros(n, dtype=bool)
+            pinned[::size] = True
+            upper &= ~(pinned[rows] | pinned[A.indices])
+            load = np.where(pinned[:, None], 0.0, rhs)
+        # Upper band storage band[b + i - j, j] = A[i, j], laid out column by
+        # column (Fortran order) so that LAPACK factors it in place.
+        band = np.bincount(
+            A.indices[upper] * (b + 1) + b - offsets[upper],
+            weights=A.data[upper], minlength=n * (b + 1),
+        ).reshape(n, b + 1).T
+        if singular:
+            band[b, pinned] = 1.0
+        # Node 0's pinned equation, x = 0, is left out of the call: for one
+        # block it is the band and LAPACK call of the system without node 0.
+        pin = 1 if singular else 0
+        X[pin:] = scipy.linalg.solveh_banded(
+            band[:, pin:], load[pin:], overwrite_ab=True, check_finite=False,
         )
         if singular:
             # Each block's column means summed as for a single column.
-            X3 = X.reshape(blocks, -1, X.shape[1])
+            X3 = X.reshape(blocks, size, -1)
             X3 -= np.ascontiguousarray(X3.transpose(0, 2, 1)).mean(axis=-1)[:, None]
-        r = (A @ X - rhs).reshape(blocks, -1, rhs.shape[1])
-        res = relative(np.linalg.norm(r, axis=1), bnorm)[:, live]
+        r = np.linalg.norm((A @ X - rhs).reshape(blocks, size, -1), axis=1)
+        part = np.linalg.norm(rhs.reshape(blocks, size, -1), axis=1)
+        res = np.divide(r, part, out=np.zeros(r.shape), where=part > 0)
+    elif blocks > 1:
+        res = np.zeros(blocks)
+        for k in range(blocks):
+            block = slice(k * size, (k + 1) * size)
+            X[block], res[k] = _solve_spd(A[block, block], rhs[block],
+                                          singular=singular)
     else:
         diag = A.diagonal()
         M = scipy.sparse.linalg.LinearOperator((n, n), matvec=lambda v: v / diag)
-        res = np.empty((blocks, live.size))
+        res = np.empty(live.size)
         for k, j in enumerate(live):
-            # CG stops on the whole column's residual; scaled by the smallest
-            # block's share, that bound covers every block's own.
-            floor = bnorm[:, j][bnorm[:, j] > 0].min() / gnorm[j]
             x = None
             for _ in range(1 + PCG_RESTARTS):
                 x, info = scipy.sparse.linalg.cg(
-                    A, rhs[:, j], x0=x, rtol=settings.tolerance * floor,
-                    atol=0.0, maxiter=settings.max_iter_factor * n, M=M,
+                    A, rhs[:, j], x0=x, rtol=settings.tolerance, atol=0.0,
+                    maxiter=settings.max_iter_factor * n, M=M,
                 )
                 if singular:
-                    x3 = x.reshape(blocks, -1)
-                    x3 -= x3.mean(axis=1, keepdims=True)
-                # Block norms as np.linalg.norm takes one vector (a BLAS dot).
-                r3 = (A @ x - rhs[:, j]).reshape(blocks, 1, -1)
-                rn = np.sqrt((r3 @ r3.transpose(0, 2, 1)).ravel())
-                res[:, k] = relative(rn, bnorm[:, j])
-                worst = res[:, k].max()
-                if info != 0 or worst <= settings.tolerance:
+                    x -= x.mean()
+                res[k] = np.linalg.norm(A @ x - rhs[:, j]) / bnorm[j]
+                if info != 0 or res[k] <= settings.tolerance:
                     break
-            if info != 0 or worst > settings.tolerance:
+            if info != 0 or res[k] > settings.tolerance:
                 raise ConvergenceError(
                     f"PCG missed tolerance {settings.tolerance:.0e} "
-                    f"(info={info}, residual {worst:.3e})",
-                    residual=float(worst),
+                    f"(info={info}, residual {res[k]:.3e})",
+                    residual=float(res[k]),
                 )
             X[:, j] = x
     return X.reshape(np.shape(B)), float(res.max())

@@ -25,13 +25,14 @@ def solver_settings(monkeypatch):
 @pytest.fixture
 def banded_calls(monkeypatch):
     """A list that gains one entry per banded Cholesky solve (one
-    factorization each) made in this process for the rest of one test."""
+    factorization each) made in this process for the rest of one test: the
+    shape (b + 1, unknowns) of the band handed to LAPACK."""
     calls = []
     solveh_banded = scipy.linalg.solveh_banded
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solveh_banded(*args, **kwargs)
+    def counted(band, *args, **kwargs):
+        calls.append(np.shape(band))
+        return solveh_banded(band, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "solveh_banded", counted)
     return calls

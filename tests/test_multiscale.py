@@ -26,6 +26,7 @@ from cgflow import (
 from cgflow.coarse import _PAIRS
 from cgflow.errors import CapacityError, ParameterError
 from cgflow.multiscale import c_exp
+from cgflow.solver import banded_cost
 
 INF = math.inf
 
@@ -255,6 +256,34 @@ def test_2d_level4_ladder_is_eight_banded_solves_in_bounded_memory(banded_calls)
     assert len(banded_calls) == 8
     assert [len(a) for a in lad.a_all] == [6561, 729, 81, 9, 1]
     assert peak < 16 * 2 ** 20
+
+
+def test_ladder_above_the_cap_stacks_per_directly_solved_cube(solver_settings,
+                                                             banded_calls):
+    # With the cap at one level-3 cube's cost, a 2d L4 ladder solves the top
+    # cube by PCG, the level-3 cubes one by one, and levels 1 and 2 in one
+    # stack per level-3 cube: 6 banded solves per level-3 cube, none with a
+    # band larger than one level-3 cube's own, (30, 783).  The pairs are
+    # still those of fresh one-cube solves, in subcubes() order.
+    solver_settings(direct_cost_cap=banded_cost(2, 3))
+    f = lognormal_field(2, 4, seed=72)
+    tracemalloc.start()
+    try:
+        lad = ladder(f, f.cube)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bands = list(banded_calls)
+    assert len(bands) == 9 * 6
+    assert max(rows * unknowns for rows, unknowns in bands) == 30 * 783
+    assert max(rows for rows, _ in bands) == 30
+    assert peak < 8 * 2 ** 20
+    for k in range(1, 5):
+        for sub, a, ainv in zip(subcubes(f.cube, k), lad.a_all[k], lad.a_star_inv_all[k]):
+            pair = coarse_pair(f, sub)
+            for mine, fresh in ((a, pair.a.entries), (ainv, pair.a_star_inv)):
+                scale = np.abs(fresh).max()
+                np.testing.assert_allclose(mine, fresh, rtol=0.0, atol=1e-12 * scale)
 
 
 def _mean_children(values, d):

@@ -13,6 +13,7 @@ from cgflow import (
     subcubes,
 )
 from cgflow.errors import ConvergenceError, PreconditionError
+from cgflow.solver import DEFAULT_SETTINGS, banded_cost, stack_level
 
 
 def lognormal_field(d, m, seed=0, sigma=0.8):
@@ -213,14 +214,17 @@ def test_stacked_solves_equal_column_solves(solver_settings, banded_calls, backe
     assert len(banded_calls) == (11 if backend == "banded" else 0)
 
 
-@pytest.mark.parametrize("backend", ["banded", "pcg"])
+@pytest.mark.parametrize("backend", ["banded", "split", "pcg"])
 def test_block_diagonal_solves_equal_per_cube_solves(solver_settings, banded_calls,
                                                      backend):
     # The level-1 operator of a 2d L2 cube solves its 9 subcubes at once:
-    # one banded solve per call, or PCG per column to each subcube's own
-    # tolerance.  Each block equals that subcube's own solve.
+    # one banded solve per call within the cap; above it, one solve per
+    # subcube, banded where the subcube's own cost is within the cap, PCG
+    # to the tolerance otherwise.  Each block equals that subcube's own solve.
     f = lognormal_field(2, 2, seed=17)
-    settings = solver_settings(direct_cost_cap=0) if backend == "pcg" else None
+    cap = {"banded": DEFAULT_SETTINGS.direct_cost_cap, "split": banded_cost(2, 1),
+           "pcg": 0}[backend]
+    settings = solver_settings(direct_cost_cap=cap)
     op = CubeOperator(f, f.cube, level=1)
     subs = [CubeOperator(f, sub) for sub in subcubes(f.cube, 1)]
     assert op.blocks == 9 and op.n_nodes == 9 * 16
@@ -237,18 +241,50 @@ def test_block_diagonal_solves_equal_per_cube_solves(solver_settings, banded_cal
         assert isinstance(stacked.residual, float)
         values = stacked.values.reshape(9, 16, 2)
         for block, single in zip(values, singles):
-            if backend == "banded":
+            if backend == "pcg":
+                np.testing.assert_allclose(block, single.values, atol=1e-7)
+            else:
                 scale = np.abs(single.values).max()
                 np.testing.assert_allclose(block, single.values, rtol=0.0,
                                            atol=1e-12 * scale)
-            else:
-                np.testing.assert_allclose(block, single.values, atol=1e-7)
         if backend == "pcg":
             assert stacked.residual <= settings.tolerance
         else:
             assert stacked.residual < 1e-12
-    # 3 stacked calls and 27 single ones on the banded path.
-    assert len(banded_calls) == (30 if backend == "banded" else 0)
+    # 3 stacked calls (one per subcube when split) and 27 single ones.
+    assert len(banded_calls) == {"banded": 30, "split": 54, "pcg": 0}[backend]
+
+
+@pytest.mark.parametrize("d, level", [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3),
+                                      (3, 1), (3, 2)])
+def test_banded_cost_is_what_a_cube_neumann_solve_costs(solver_settings,
+                                                       banded_calls, d, level):
+    # banded_cost is the cost _solve_spd charges one cube's Neumann solve,
+    # the larger of its two: at that cap the solve is banded, below it not.
+    f = lognormal_field(d, level, seed=19)
+    op = CubeOperator(f, f.cube)
+    eye = np.eye(d)
+    solver_settings(direct_cost_cap=banded_cost(d, level))
+    op.solve_neumann(eye)
+    op.solve_dirichlet(eye)
+    (rows, unknowns), (rows_d, unknowns_d) = banded_calls
+    assert banded_cost(d, level) == unknowns * rows ** 2 > unknowns_d * rows_d ** 2
+    solver_settings(direct_cost_cap=banded_cost(d, level) - 1)
+    op.solve_neumann(eye)
+    assert len(banded_calls) == 2
+
+
+def test_stack_level_is_the_largest_directly_solved_cube(solver_settings):
+    # Default cap: 2d cubes up to level 5 and 3d up to level 2 are banded.
+    assert stack_level(2, 1, 4) == 4
+    assert stack_level(2, 4, 6) == 5
+    assert stack_level(2, 1, 6) == 5
+    assert stack_level(3, 1, 4) == 2
+    assert stack_level(3, 3, 4) == 3  # above the cap: one cube per stack
+    solver_settings(direct_cost_cap=banded_cost(2, 2))
+    assert [stack_level(2, k, 4) for k in (1, 2, 3, 4)] == [2, 2, 3, 4]
+    solver_settings(direct_cost_cap=0)
+    assert [stack_level(1, k, 3) for k in (1, 2, 3)] == [1, 2, 3]
 
 
 def test_block_diagonal_quadratures_average_over_the_cube():
