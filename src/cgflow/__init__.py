@@ -20,7 +20,6 @@ from .errors import (
 from .grid import (
     CoefficientField,
     EnsembleSpec,
-    SpdMatrix,
     TriadicCube,
     dihedral_conjugate,
     generate,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, ParameterError
-from .grid import CoefficientField, SpdMatrix, TriadicCube, check_spd_array, subcubes
+from .grid import CoefficientField, TriadicCube, check_spd_array, subcubes
 from .solver import CubeOperator, stack_level
 
 ORDER_TOL = 1e-9
@@ -24,26 +24,24 @@ _PAIRS = weakref.WeakKeyDictionary()  # live field -> {cube: pair}
 
 @dataclass(frozen=True)
 class CoarseGrainedPair:
-    """The pair (a(cube), a_*(cube)) with the solver residuals that produced it."""
+    """The pair (a(cube), a_*(cube)) and a_*^{-1}(cube), read-only d-by-d
+    arrays from level_pairs, with the solver residuals that produced them."""
 
     cube: TriadicCube
-    a: SpdMatrix
-    a_star: SpdMatrix
+    a: np.ndarray
+    a_star: np.ndarray
+    a_star_inv: np.ndarray
     residuals: tuple[float, ...]
 
     @property
-    def a_star_inv(self) -> np.ndarray:
-        return self.a_star.inverse().entries
-
-    @property
     def gap(self) -> np.ndarray:
-        return self.a.entries - self.a_star.entries
+        return self.a - self.a_star
 
     def to_json_dict(self) -> dict:
         return {
             "cube": {"level": self.cube.level, "offset": list(self.cube.offset)},
-            "a": self.a.to_list(),
-            "a_star": self.a_star.to_list(),
+            "a": [float(x) for x in self.a.ravel()],
+            "a_star": [float(x) for x in self.a_star.ravel()],
             "solver_residuals": [float(r) for r in self.residuals],
         }
 
@@ -58,7 +56,7 @@ def _polarize(op, W: np.ndarray) -> np.ndarray:
 
 def _spd_stack(mats: np.ndarray, what: str, cube, level) -> np.ndarray:
     """The symmetric parts of stacked coarse matrices, checked as cell
-    matrices are: symmetric to 1e-12 relative, positive definite."""
+    matrices are: finite, symmetric to 1e-12 relative, positive definite."""
     try:
         check_spd_array(mats, what)
     except ParameterError as exc:
@@ -97,13 +95,27 @@ def _level_grams(field: CoefficientField, cube: TriadicCube, level: int):
     return ordered(dirichlet), ordered(neumann), (res_d, res_n)
 
 
+def _read_only(*arrays) -> tuple:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 def level_pairs(field: CoefficientField, cube: TriadicCube, level: int):
-    """(a, a_*, a_*^{-1}, residuals) on every level-`level` subcube of `cube`
-    (level >= 1), each a (count, d, d) stack in subcubes() order, from
-    block-diagonal Dirichlet and Neumann solves, each with the d unit
-    vectors as right-hand sides; residuals holds the worst subcube's residual
-    of each kind of solve.  Every pair is checked: a and a_*^{-1} symmetric
-    positive definite, and a_* <= a to ORDER_TOL.  Nothing is memoized."""
+    """(a, a_*, a_*^{-1}, residuals) on every level-`level` subcube of `cube`,
+    each a read-only (count, d, d) stack in subcubes() order; residuals holds
+    the worst subcube's residual of each kind of solve.
+
+    At level 0 both matrices are the cells, which the field has checked, and
+    no solve is made.  Above it they come from block-diagonal Dirichlet and
+    Neumann solves, each with the d unit vectors as right-hand sides: a and
+    a_*^{-1} are the Gram matrices of the solutions.  Every such pair is
+    checked: a, a_*^{-1} and a_* finite, symmetric positive definite, and
+    a_* <= a to ORDER_TOL.  Nothing is memoized."""
+    if level == 0:
+        d = field.dimension
+        cells = field.cells_in(cube).reshape(-1, d, d)
+        return _read_only(cells, cells, np.linalg.inv(cells)) + ((0.0, 0.0),)
     grams_d, grams_n, residuals = _level_grams(field, cube, level)
     a = _spd_stack(grams_d, "a matrices", cube, level)
     a_star_inv = _spd_stack(grams_n, "a_*^{-1} matrices", cube, level)
@@ -116,33 +128,35 @@ def level_pairs(field: CoefficientField, cube: TriadicCube, level: int):
             f"ordering a_* <= a violated on {subcubes(cube, level)[bad[0]]}: "
             f"min gap eigenvalue {gap_min[bad[0]]:.3e}"
         )
-    return a, a_star, a_star_inv, residuals
+    return _read_only(a, a_star, a_star_inv) + (residuals,)
 
 
 def coarse_pair(field: CoefficientField, cube: TriadicCube) -> CoarseGrainedPair:
     """Compute (a(cube), a_*(cube)): the one-cube case of level_pairs.
 
-    Results are memoized per field while it lives, keyed by cube.
-    A unit cell needs no solve: both matrices equal the cell matrix exactly.
-    """
-    if cube.level == 0:
-        mat = SpdMatrix(field.cell(cube.offset))
-        return CoarseGrainedPair(cube, mat, mat, (0.0, 0.0))
+    Results are memoized per field while it lives, keyed by cube."""
     memo = _PAIRS.setdefault(field, {})
     if cube in memo:
         return memo[cube]
-    a, a_star, _, residuals = level_pairs(field, cube, cube.level)
-    pair = CoarseGrainedPair(cube, SpdMatrix.checked(a[0]),
-                             SpdMatrix.checked(a_star[0]), residuals)
+    a, a_star, a_star_inv, residuals = level_pairs(field, cube, cube.level)
+    pair = CoarseGrainedPair(cube, a[0], a_star[0], a_star_inv[0], residuals)
     memo[cube] = pair
     return pair
+
+
+def mean_j(a: np.ndarray, a_star_inv: np.ndarray, p, q) -> float:
+    """Mean over (count, d, d) stacks of pairs of
+    J = 1/2 p.a p + 1/2 q.a_*^{-1} q - p.q."""
+    pq = np.stack([p, q])
+    pairs = np.stack([a, a_star_inv], axis=1)
+    return float(0.5 * np.einsum("si,bsij,sj->", pq, pairs, pq) / len(pairs) - p @ q)
 
 
 def j_from_pair(pair: CoarseGrainedPair, p, q) -> float:
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     return float(
-        0.5 * p @ pair.a.entries @ p + 0.5 * q @ pair.a_star_inv @ q - p @ q
+        0.5 * p @ pair.a @ p + 0.5 * q @ pair.a_star_inv @ q - p @ q
     )
 
 
@@ -157,8 +171,10 @@ def subadditivity_defect(field, cube_m, level_n, p, q) -> float:
         raise ParameterError(
             f"need 0 <= level_n < {cube_m.level}, got {level_n}"
         )
-    parts = [j_functional(field, sub, p, q) for sub in subcubes(cube_m, level_n)]
-    return float(np.mean(parts) - j_functional(field, cube_m, p, q))
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    a, _, a_star_inv, _ = level_pairs(field, cube_m, level_n)
+    return float(mean_j(a, a_star_inv, p, q) - j_functional(field, cube_m, p, q))
 
 
 def response_defect(field, cube, w) -> tuple[float, float]:
@@ -169,7 +185,7 @@ def response_defect(field, cube, w) -> tuple[float, float]:
     pair = coarse_pair(field, cube)
     g = op.mean_gradient(w)
     f = op.mean_flux(w)
-    lhs = float(np.linalg.norm(f - pair.a_star.entries @ g))
+    lhs = float(np.linalg.norm(f - pair.a_star @ g))
     gap_norm = float(np.linalg.eigvalsh(pair.gap)[-1])
     rhs = float(np.sqrt(max(gap_norm, 0.0)) * np.sqrt(2.0 * op.energy(w)))
     return lhs, rhs
@@ -183,13 +199,12 @@ def energy_map_check(field, cube, w, flux=True):
     pair = coarse_pair(field, cube)
     g = op.mean_gradient(w)
     energy = op.energy(w)
-    grad_side = float(0.5 * g @ pair.a_star.entries @ g)
+    grad_side = float(0.5 * g @ pair.a_star @ g)
     flux_side = None
     if flux:
         op.require_harmonic(w)
         f = op.mean_flux(w)
-        a_inv = pair.a.inverse().entries
-        flux_side = float(0.5 * f @ a_inv @ f)
+        flux_side = float(0.5 * f @ np.linalg.inv(pair.a) @ f)
     return grad_side, energy, flux_side
 
 
@@ -238,6 +253,6 @@ def integral_bound_slacks(field, cube) -> tuple[float, float]:
     cells = field.cells_in(cube).reshape(-1, field.dimension, field.dimension)
     arith = cells.mean(axis=0)
     harm_data = np.linalg.inv(cells).mean(axis=0)
-    s1 = float(np.linalg.eigvalsh(arith - pair.a.entries)[0])
+    s1 = float(np.linalg.eigvalsh(arith - pair.a)[0])
     s2 = float(np.linalg.eigvalsh(harm_data - pair.a_star_inv)[0])
     return s1, s2

@@ -90,8 +90,7 @@ def _sample_pairs(spec: EnsembleSpec, dimension: int, levels: tuple[int, ...],
                 ainv = np.array([[ainv]])
             else:
                 pair = coarse_pair(field, cube)
-                a = pair.a.entries.copy()
-                ainv = pair.a_star_inv.copy()
+                a, ainv = pair.a, pair.a_star_inv
             if symmetrize:
                 a = _symmetrize(a)
                 ainv = _symmetrize(ainv)

@@ -90,51 +90,11 @@ def subcubes(ambient: TriadicCube, level: int) -> list[TriadicCube]:
     return out
 
 
-@dataclass(frozen=True)
-class SpdMatrix:
-    """Dense symmetric positive-definite d-by-d matrix with eigenvalue queries."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ParameterError(f"matrix must be square, got shape {arr.shape}")
-        scale = np.abs(arr).max()
-        if scale == 0 or np.abs(arr - arr.T).max() > 1e-12 * scale:
-            raise ParameterError("matrix is not symmetric to 1e-12 relative tolerance")
-        arr = 0.5 * (arr + arr.T)
-        if np.linalg.eigvalsh(arr)[0] <= 0:
-            raise ParameterError("matrix is not positive definite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @classmethod
-    def checked(cls, entries: np.ndarray) -> "SpdMatrix":
-        """The matrix of entries that check_spd_array has passed, already
-        symmetrized, stored as given without checking them again."""
-        arr = np.array(entries, dtype=float)
-        arr.setflags(write=False)
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "entries", arr)
-        return matrix
-
-    @property
-    def dimension(self) -> int:
-        return self.entries.shape[0]
-
-    def spectral_norm(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[-1])
-
-    def inverse(self) -> "SpdMatrix":
-        return SpdMatrix(np.linalg.inv(self.entries))
-
-    def to_list(self) -> list[float]:
-        return [float(x) for x in self.entries.ravel()]
-
-
 def check_spd_array(arr: np.ndarray, what: str = "cell matrices") -> None:
-    """Validate a stacked (..., d, d) array of SPD matrices."""
+    """Validate a stacked (..., d, d) array of SPD matrices: finite,
+    symmetric to 1e-12 relative, positive definite."""
+    if not np.isfinite(arr).all():
+        raise ParameterError(f"{what} are not finite")
     scale = np.abs(arr).max(axis=(-2, -1))
     asym = np.abs(arr - np.swapaxes(arr, -2, -1)).max(axis=(-2, -1))
     if np.any(asym > 1e-12 * np.maximum(scale, 1e-300)):

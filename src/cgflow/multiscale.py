@@ -19,7 +19,7 @@ from .errors import CapacityError, ParameterError
 from .grid import CoefficientField, TriadicCube
 from .solver import CubeOperator, solve_v
 # coarse_pair stays in this namespace: perfbench/tracing.py wraps it here.
-from .coarse import coarse_pair, level_pairs  # noqa: F401
+from .coarse import coarse_pair, level_pairs, mean_j  # noqa: F401
 
 INF = math.inf
 DEFAULT_BUDGET_CAP = 2_000_000
@@ -45,7 +45,7 @@ class ExponentSet:
     def __post_init__(self):
         if not (0.0 < self.s <= 1.0) or not (0.0 < self.t <= 1.0):
             raise ParameterError("s and t must lie in (0, 1]")
-        if self.q != INF and not (1.0 <= self.q):
+        if not (1.0 <= self.q):
             raise ParameterError("q must lie in [1, inf]")
 
     @property
@@ -113,9 +113,9 @@ def besov_ring(f, dimension: int, s: float, p: float, q: float,
     `f` is cell data on the full cube of side 3^m (scalar or vector)."""
     if not (0.0 < s <= 1.0):
         raise ParameterError("s must lie in (0, 1]")
-    if p != INF and p < 1.0:
+    if not (1.0 <= p):
         raise ParameterError("p must lie in [1, inf]")
-    if q != INF and q < 1.0:
+    if not (1.0 <= q):
         raise ParameterError("q must lie in [1, inf]")
     f = _as_vector_grid(f, dimension)
     m = round(math.log(f.shape[0], 3)) if f.shape[0] > 1 else 0
@@ -201,8 +201,8 @@ class MultiscaleLadder:
 
 def ladder(field: CoefficientField, cube: TriadicCube,
            budget_cap: int = DEFAULT_BUDGET_CAP) -> MultiscaleLadder:
-    """Coarse pairs on every subcube at every level 0..m: the cells at level
-    0, then level_pairs per level (one block-diagonal Dirichlet and one
+    """Coarse pairs on every subcube at every level 0..m, from level_pairs
+    (the cells at level 0; above it one block-diagonal Dirichlet and one
     Neumann solve per stack, one stack per level while the whole cube's
     solves are within the direct cost cap).  The pairs do not enter
     coarse_pair's memo."""
@@ -214,9 +214,8 @@ def ladder(field: CoefficientField, cube: TriadicCube,
             f"ladder needs {total} subcube solves, above the cap {budget_cap}"
         )
 
-    cells = field.cells_in(cube).reshape(-1, d, d)
-    a_all, ainv_all = [cells], [np.linalg.inv(cells)]
-    for k in range(1, m + 1):
+    a_all, ainv_all = [], []
+    for k in range(m + 1):
         a, _, a_star_inv, _ = level_pairs(field, cube, k)
         a_all.append(a)
         ainv_all.append(a_star_inv)
@@ -265,7 +264,7 @@ def multiscale_defect(lad: MultiscaleLadder, abar, s: float, q: float,
     reference matrix abar; vanishes iff every block pair equals abar."""
     if not (0.0 < s < 0.5):
         raise ParameterError("s must lie in (0, 1/2)")
-    if q != INF and q < 1.0:
+    if not (1.0 <= q):
         raise ParameterError("q must lie in [1, inf]")
     abar = np.asarray(abar, dtype=float)
     m = lad.top_level
@@ -322,13 +321,6 @@ def cg_poincare_check(field: CoefficientField, cube: TriadicCube, u: np.ndarray,
     return report
 
 
-def _mean_j(lad: MultiscaleLadder, k: int, p, q) -> float:
-    """Mean over the level-k subcubes of J = 1/2 p.a p + 1/2 q.a_*^{-1} q - p.q."""
-    pq = np.stack([p, q])
-    pairs = np.stack([lad.a_all[k], lad.a_star_inv_all[k]], axis=1)
-    return float(0.5 * np.einsum("si,bsij,sj->", pq, pairs, pq) / len(pairs) - p @ q)
-
-
 def weak_norm_diagnostics(field: CoefficientField, cube: TriadicCube,
                           p, q_vec, p0, q0, s: float, t: float,
                           s_prime=None, t_prime=None, base_level: int = 0) -> dict:
@@ -362,7 +354,7 @@ def weak_norm_diagnostics(field: CoefficientField, cube: TriadicCube,
     lhs_grad = 3.0 ** (-s * m) * besov_ring(grads - p0, d, s, 2.0, 1.0)
     lhs_flux = 3.0 ** (-t * m) * besov_ring(fluxes - q0, d, t, 2.0, 1.0)
 
-    j_m = _mean_j(lad, m, p, q_vec)
+    j_m = mean_j(lad.a_all[m], lad.a_star_inv_all[m], p, q_vec)
     lam_sp = ellipticity_constants(lad, ExponentSet(s_prime, s_prime, 1.0))[1]
     Lam_tp = ellipticity_constants(lad, ExponentSet(t_prime, t_prime, 1.0))[0]
 
@@ -380,7 +372,7 @@ def weak_norm_diagnostics(field: CoefficientField, cube: TriadicCube,
         dev_flux.append(
             3.0 ** (-t * (m - j)) * float(np.sqrt(np.mean(np.sum(df ** 2, axis=1))))
         )
-        j_increments.append(max(_mean_j(lad, j, p, q_vec) - j_m, 0.0))
+        j_increments.append(max(mean_j(a_j, ainv_j, p, q_vec) - j_m, 0.0))
 
     jsum_grad = lam_sp ** -0.5 * sum(
         3.0 ** (-(s - s_prime) * (m - j)) * inc ** 0.5

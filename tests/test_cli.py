@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -242,6 +243,17 @@ def test_solver_key_is_unknown(tmp_path, capsys, command, config):
     ("coarse-grain", dict(COARSE_1D, ensemble={"kind": "explicit",
                                                "params": {"cells": ["a", 1, 1]}}),
      "cells"),
+    # json.dumps writes the non-standard literals NaN and +-Infinity.
+    ("coarse-grain", dict(COARSE_1D, ensemble={"kind": "constant",
+                                               "params": {"value": math.inf}}),
+     "Infinity"),
+    ("flow", dict(FLOW_1D, ensemble=dict(FLOW_1D["ensemble"], params=dict(
+        FLOW_1D["ensemble"]["params"], sigma_hi=math.nan))), "NaN"),
+    ("constants", dict(CONSTANTS_2D, ensemble={"kind": "constant",
+                                               "params": {"value": math.inf}}),
+     "Infinity"),
+    ("besov", dict(BESOV_RING, p=math.nan), "NaN"),
+    ("verify", dict(VERIFY, cases=-math.inf), "-Infinity"),
 ])
 def test_bad_integer_settings_are_config_errors(tmp_path, capsys, command, config, key):
     cfg = write_config(tmp_path, "c.json", config)
@@ -249,6 +261,25 @@ def test_bad_integer_settings_are_config_errors(tmp_path, capsys, command, confi
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert key in err["message"]
+
+
+# Cells near the float range overflow in exp, and a pair's Gram matrices
+# overflow in the stiffness products: the warnings are the expected outcome.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("ensemble, code, error", [
+    ({"kind": "lognormal_iid", "params": {"log_mean": 1000.0, "log_sigma": 0.5}},
+     2, "ParameterError"),
+    ({"kind": "constant", "params": {"value": 1e308}}, 3, "ConsistencyError"),
+])
+def test_non_finite_matrices_are_rejected(tmp_path, capsys, ensemble, code, error):
+    # Non-finite cells fail the field's SPD check; non-finite coarse matrices
+    # fail the pair's, instead of being written out as NaN.
+    cfg = write_config(tmp_path, "c.json",
+                       {"dimension": 2, "level": 1, "ensemble": ensemble})
+    assert main(["coarse-grain", "--config", cfg]) == code
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error
+    assert "not finite" in err["message"]
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])

@@ -53,8 +53,8 @@ def test_1d_pair_is_harmonic_mean():
     f = cells_1d([1.0, 2.0, 4.0])
     pair = coarse_pair(f, f.cube)
     hmean = 3.0 / (1.0 + 0.5 + 0.25)  # 12/7
-    assert pair.a.entries[0, 0] == pytest.approx(hmean, rel=1e-12)
-    assert pair.a_star.entries[0, 0] == pytest.approx(hmean, rel=1e-12)
+    assert pair.a[0, 0] == pytest.approx(hmean, rel=1e-12)
+    assert pair.a_star[0, 0] == pytest.approx(hmean, rel=1e-12)
 
 
 def test_1d_j_value():
@@ -78,8 +78,8 @@ def test_1d_subadditivity_value():
 def test_constant_field_pair_collapses():
     f = generate(EnsembleSpec("constant", {"value": 3.0}), 2, 2)
     pair = coarse_pair(f, f.cube)
-    np.testing.assert_allclose(pair.a.entries, 3.0 * np.eye(2), atol=1e-10)
-    np.testing.assert_allclose(pair.a_star.entries, 3.0 * np.eye(2), atol=1e-10)
+    np.testing.assert_allclose(pair.a, 3.0 * np.eye(2), atol=1e-10)
+    np.testing.assert_allclose(pair.a_star, 3.0 * np.eye(2), atol=1e-10)
     assert j_functional(f, f.cube, [1.0, 0.0], [3.0, 0.0]) == pytest.approx(0.0, abs=1e-10)
 
 
@@ -87,8 +87,18 @@ def test_unit_cell_pair_is_cell_matrix():
     f = lognormal_field(2, 1, seed=1)
     cell = TriadicCube(0, (1, 2))
     pair = coarse_pair(f, cell)
-    np.testing.assert_array_equal(pair.a.entries, f.cell((1, 2)))
-    np.testing.assert_array_equal(pair.a_star.entries, f.cell((1, 2)))
+    np.testing.assert_array_equal(pair.a, f.cell((1, 2)))
+    np.testing.assert_array_equal(pair.a_star, f.cell((1, 2)))
+    np.testing.assert_array_equal(pair.a_star_inv, np.linalg.inv(f.cell((1, 2))))
+
+
+def test_pair_matrices_are_read_only():
+    f = lognormal_field(2, 1, seed=1)
+    for cube in (TriadicCube(0, (1, 2)), f.cube):
+        pair = coarse_pair(f, cube)
+        for mat in (pair.a, pair.a_star, pair.a_star_inv):
+            with pytest.raises(ValueError):
+                mat[0, 0] = 0.0
 
 
 def test_pair_is_memoized():
@@ -138,7 +148,7 @@ def test_ordering_a_star_below_a():
         f = lognormal_field(2, 2, seed=seed)
         pair = coarse_pair(f, f.cube)
         gap_min = np.linalg.eigvalsh(pair.gap)[0]
-        assert gap_min >= -1e-9 * pair.a.spectral_norm()
+        assert gap_min >= -1e-9 * np.linalg.eigvalsh(pair.a)[-1]
 
 
 def test_integral_bounds():
@@ -160,7 +170,7 @@ def test_pair_order_bounds(d, level, ensemble, seed):
     cells = f.cells.reshape(-1, d, d)
     arith = np.linalg.eigvalsh(cells.mean(axis=0))[-1]
     harm = np.linalg.eigvalsh(np.linalg.inv(cells).mean(axis=0))[-1]
-    assert np.linalg.eigvalsh(pair.gap)[0] >= -1e-9 * pair.a.spectral_norm()
+    assert np.linalg.eigvalsh(pair.gap)[0] >= -1e-9 * np.linalg.eigvalsh(pair.a)[-1]
     s1, s2 = integral_bound_slacks(f, f.cube)
     assert s1 >= -1e-9 * arith
     assert s2 >= -1e-9 * harm
@@ -172,10 +182,10 @@ def test_j_is_nonnegative_and_zero_at_optimum():
     rng = np.random.default_rng(0)
     for _ in range(10):
         p = rng.standard_normal(2)
-        assert j_from_pair(pair, p, pair.a_star.entries @ p) >= -1e-10
+        assert j_from_pair(pair, p, pair.a_star @ p) >= -1e-10
     # J(p, a_* p) = 1/2 p.(a - a_*) p, the minimum over q.
     p = np.array([1.0, -2.0])
-    val = j_from_pair(pair, p, pair.a_star.entries @ p)
+    val = j_from_pair(pair, p, pair.a_star @ p)
     assert val == pytest.approx(0.5 * p @ pair.gap @ p, rel=1e-9)
 
 
@@ -270,7 +280,7 @@ def test_pair_json_dict():
     d = pair.to_json_dict()
     assert d["cube"] == {"level": 1, "offset": [0, 0]}
     np.testing.assert_allclose(
-        np.array(d["a"]).reshape(2, 2), pair.a.entries
+        np.array(d["a"]).reshape(2, 2), pair.a
     )
     # The worst Dirichlet and the worst Neumann column.
     assert len(d["solver_residuals"]) == 2
@@ -297,8 +307,8 @@ def test_pair_is_covariant_under_axis_permutations(d, m, perm):
     conj = coarse_pair(dihedral_conjugate(f, perm), f.cube)
     idx = np.ix_(perm, perm)
     for mine, theirs in ((conj.a, pair.a), (conj.a_star, pair.a_star)):
-        scale = np.abs(theirs.entries).max()
-        np.testing.assert_allclose(mine.entries, theirs.entries[idx],
+        scale = np.abs(theirs).max()
+        np.testing.assert_allclose(mine, theirs[idx],
                                    rtol=0.0, atol=1e-13 * scale)
 
 
@@ -312,8 +322,8 @@ def test_pair_on_interior_subcube():
         2, 1,
     )
     pair2 = coarse_pair(g, g.cube)
-    np.testing.assert_allclose(pair.a.entries, pair2.a.entries, atol=1e-10)
-    np.testing.assert_allclose(pair.a_star.entries, pair2.a_star.entries, atol=1e-10)
+    np.testing.assert_allclose(pair.a, pair2.a, atol=1e-10)
+    np.testing.assert_allclose(pair.a_star, pair2.a_star, atol=1e-10)
 
 
 def test_degenerate_neumann_solutions_are_consistency_error(monkeypatch):

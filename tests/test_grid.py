@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from cgflow import (
+    CoefficientField,
     EnsembleSpec,
     ParameterError,
-    SpdMatrix,
     TriadicCube,
     dihedral_conjugate,
     generate,
@@ -60,18 +60,18 @@ def test_subcube_level_out_of_range():
 
 
 def test_spd_matrix_validation():
-    SpdMatrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
-    with pytest.raises(ParameterError):
-        SpdMatrix(np.array([[1.0, 0.3], [0.0, 1.0]]))  # not symmetric
-    with pytest.raises(ParameterError):
-        SpdMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
+    # A field's cells are checked on construction: finite, symmetric,
+    # positive definite.
+    def field(cell):
+        return CoefficientField(2, 0, np.array(cell).reshape(1, 1, 2, 2))
 
-
-def test_spd_matrix_queries():
-    m = SpdMatrix(np.diag([1.0, 4.0]))
-    assert np.linalg.eigvalsh(m.entries)[0] == pytest.approx(1.0)
-    assert m.spectral_norm() == pytest.approx(4.0)
-    np.testing.assert_allclose(m.inverse().entries, np.diag([1.0, 0.25]))
+    field([[2.0, 0.5], [0.5, 1.0]])
+    for bad in ([[1.0, 0.3], [0.0, 1.0]],            # not symmetric
+                [[1.0, 2.0], [2.0, 1.0]],            # indefinite
+                [[1.0, 0.0], [0.0, math.nan]],
+                [[math.inf, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ParameterError):
+            field(bad)
 
 
 def test_ensemble_spec_strict_params():
