@@ -75,14 +75,14 @@ def _level_grams(field: CoefficientField, cube: TriadicCube, level: int):
     d = field.dimension
     parent = stack_level(d, level, cube.level)
     eye = np.eye(d)
-    dirichlet, neumann, res_d, res_n = [], [], 0.0, 0.0
+    dirichlet, neumann, residuals = [], [], []
     for sub in subcubes(cube, parent):
         op = CubeOperator(field, sub, level)
         wd = op.solve_dirichlet(eye)
         wn = op.solve_neumann(eye)
         dirichlet.append(_polarize(op, wd.values))
         neumann.append(_polarize(op, wn.values))
-        res_d, res_n = max(res_d, wd.residual), max(res_n, wn.residual)
+        residuals.append((wd.residual, wn.residual))
     # Stacks and the blocks within each run in C order over their offsets:
     # interleave the two offset grids into the subcubes' own.
     grid = (3 ** (cube.level - parent),) * d + (3 ** (parent - level),) * d
@@ -92,7 +92,9 @@ def _level_grams(field: CoefficientField, cube: TriadicCube, level: int):
         blocks = np.concatenate(stacks).reshape(grid + (d, d))
         return blocks.transpose(axes).reshape(-1, d, d)
 
-    return ordered(dirichlet), ordered(neumann), (res_d, res_n)
+    # np.max keeps a NaN, where the builtin max may drop it.
+    res_d, res_n = np.max(residuals, axis=0)
+    return ordered(dirichlet), ordered(neumann), (float(res_d), float(res_n))
 
 
 def _read_only(*arrays) -> tuple:

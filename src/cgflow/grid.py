@@ -92,7 +92,17 @@ def subcubes(ambient: TriadicCube, level: int) -> list[TriadicCube]:
 
 def check_spd_array(arr: np.ndarray, what: str = "cell matrices") -> None:
     """Validate a stacked (..., d, d) array of SPD matrices: finite,
-    symmetric to 1e-12 relative, positive definite."""
+    symmetric to 1e-12 relative, positive definite.  A stack whose
+    off-diagonal entries are all exactly 0 is checked on its diagonal only:
+    such a matrix is SPD iff its diagonal is finite and positive."""
+    diag = np.diagonal(arr, axis1=-2, axis2=-1)
+    # Equal counts: no off-diagonal entry is nonzero (NaN counts as nonzero).
+    if np.count_nonzero(arr) == np.count_nonzero(diag):
+        if not np.isfinite(diag).all():
+            raise ParameterError(f"{what} are not finite")
+        if not (diag > 0).all():
+            raise ParameterError(f"{what} are not positive definite")
+        return
     if not np.isfinite(arr).all():
         raise ParameterError(f"{what} are not finite")
     scale = np.abs(arr).max(axis=(-2, -1))

@@ -10,6 +10,7 @@ sub/superadditive within the discrete theory.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,7 +19,12 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .errors import ConvergenceError, ParameterError, PreconditionError
+from .errors import (
+    ConsistencyError,
+    ConvergenceError,
+    ParameterError,
+    PreconditionError,
+)
 from .grid import CoefficientField, TriadicCube
 
 
@@ -47,21 +53,6 @@ DEFAULT_SETTINGS = SolverSettings()
 PCG_RESTARTS = 3
 
 
-def _restrict(A, keep: np.ndarray):
-    """A[keep][:, keep] for a boolean node mask, read from A's CSR arrays in
-    one pass: the kept entries in their order, the kept nodes renumbered
-    consecutively."""
-    sel = np.repeat(keep, np.diff(A.indptr)) & keep[A.indices]
-    # Kept entries before each row's first entry.
-    before = np.concatenate(([0], np.cumsum(sel)))[A.indptr]
-    indptr = np.append(before[:-1][keep], before[-1])
-    new = np.cumsum(keep) - 1
-    m = indptr.size - 1
-    return scipy.sparse.csr_array(
-        (A.data[sel], new[A.indices[sel]], indptr), shape=(m, m)
-    )
-
-
 def banded_cost(d: int, level: int) -> int:
     """Cost m (b + 1)^2 of the banded Neumann solve of one level-`level`
     cube, the larger of its two solves: m = (s + 1)^d - 1 unknowns and
@@ -85,10 +76,86 @@ def stack_level(d: int, level: int, top: int) -> int:
     return parent
 
 
-def _solve_spd(A, B, blocks: int = 1, singular: bool = False):
-    """Solve A X = B for a CSR SPD matrix A, block diagonal with `blocks`
-    equal diagonal blocks, and a block B with one right-hand side per column
-    (a vector is one column); returns X and the worst block's and column's
+@lru_cache(maxsize=None)
+def _stencil_offsets(d: int) -> np.ndarray:
+    """The 3^d neighbour offsets {-1, 0, 1}^d in C order: stencil column k
+    of a node holds its entry toward the neighbour at offset k."""
+    return np.array(list(itertools.product((-1, 0, 1), repeat=d)))
+
+
+def _stencil_column(offsets) -> np.ndarray:
+    """Stencil column of each neighbour offset in {-1, 0, 1}^d, the last
+    axis of `offsets`."""
+    offsets = np.asarray(offsets)
+    return (offsets + 1) @ 3 ** np.arange(offsets.shape[-1] - 1, -1, -1)
+
+
+def _inside(offset) -> tuple:
+    """Slices of a node grid, one per axis, selecting the nodes whose
+    neighbour at `offset` lies in the grid."""
+    return tuple(slice(1, None) if o < 0 else slice(None, -1) if o > 0
+                 else slice(None) for o in offset)
+
+
+def _linear_offsets(grid) -> np.ndarray:
+    """Node-index offset of each stencil column on the node lattice `grid`
+    = (blocks, w_1, ..., w_d), nodes numbered in C order."""
+    strides = np.cumprod((1,) + grid[:0:-1])[-2::-1]
+    return _stencil_offsets(len(grid) - 1) @ strides
+
+
+@lru_cache(maxsize=16)
+def _stencil_pattern(grid) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only column indices and row pointers of the stencil-layout CSR
+    matrix on the node lattice `grid`: each node's row holds its 3^d stencil
+    entries in stencil-column order, and a neighbour outside the node's
+    block is a zero entry on the node itself."""
+    n, width = math.prod(grid), 3 ** (len(grid) - 1)
+    dtype = np.int32 if n * width < 2 ** 31 else np.int64
+    nodes = np.arange(n, dtype=dtype).reshape(grid)
+    columns = np.repeat(nodes[..., None], width, axis=-1)
+    for k, (offset, step) in enumerate(zip(_stencil_offsets(len(grid) - 1),
+                                           _linear_offsets(grid))):
+        columns[(slice(None),) + _inside(offset) + (k,)] += step
+    indptr = np.arange(0, n * width + 1, width, dtype=dtype)
+    columns = columns.reshape(-1)
+    for arr in (columns, indptr):
+        arr.setflags(write=False)
+    return columns, indptr
+
+
+def _stencil_matrix(stencil: np.ndarray, grid):
+    """CSR matrix on the node lattice `grid` whose data is the (nodes, 3^d)
+    stencil array itself."""
+    n = stencil.shape[0]
+    return scipy.sparse.csr_array((stencil.reshape(-1),) + _stencil_pattern(grid),
+                                  shape=(n, n))
+
+
+def _residual(A, X, rhs, blocks: int) -> float:
+    """Worst true relative residual |A X - rhs| / |rhs| over the columns and
+    the `blocks` equal diagonal blocks, each block's relative to its own
+    part of rhs (0 where that part is zero); NaN if A X - rhs is not finite.
+    Both parts are scaled by the largest entry of the rhs part before their
+    norms are taken, so that the norms do not overflow."""
+    r = A @ X - rhs
+    if not np.isfinite(r).all():
+        return math.nan
+    r = r.reshape(blocks, -1, r.size // r.shape[0])
+    part = rhs.reshape(r.shape)
+    scale = np.abs(part).max(axis=1, keepdims=True)
+    live = scale[:, 0] > 0
+    scale[scale == 0] = 1.0
+    r_norm = np.linalg.norm(r / scale, axis=1)
+    part_norm = np.linalg.norm(part / scale, axis=1)
+    return float(np.max(r_norm[live] / part_norm[live], initial=0.0))
+
+
+def _solve_spd(A, grid, B, singular: bool = False):
+    """Solve A X = B for an SPD matrix A in stencil layout on the node
+    lattice `grid` = (blocks, w, ..., w), so block diagonal with one block
+    per w^d-node grid, and a block B with one right-hand side per column (a
+    vector is one column); returns X and the worst block's and column's
     true relative residual, each block's relative to its own part of the
     right-hand side.
 
@@ -96,42 +163,45 @@ def _solve_spd(A, B, blocks: int = 1, singular: bool = False):
     semidefinite with the constants as kernel, and each block's part of each
     column of B sums to zero; the columns of X are the solutions of zero mean
     on every block.  Within `direct_cost_cap` one banded Cholesky solve
-    covers all blocks and columns, with the upper band read from the CSR
-    arrays and, when singular, the first node of every block pinned.  A
-    stack above the cap is solved one block at a time.  A single block
-    above it runs Jacobi-PCG column by column, restarted from its iterate up
-    to PCG_RESTARTS times while the true residual misses `tolerance`; a
-    column that still misses it raises ConvergenceError.  Zero columns give
+    covers all blocks and columns, with the upper band copied from the
+    stencil columns and, when singular, the first node of every block
+    pinned.  Above it Jacobi-PCG runs column by column, restarted from its
+    iterate up to PCG_RESTARTS times while the true residual misses
+    `tolerance`; a column that still misses it raises ConvergenceError, and
+    so does a non-finite residual of the banded solve.  Zero columns give
     zero solutions.  The settings are read at call time."""
     settings = DEFAULT_SETTINGS
-    n = A.shape[0]
+    blocks, n = grid[0], A.shape[0]
+    size = n // blocks
     rhs = np.reshape(B, (n, -1))
     X = np.zeros(rhs.shape)
-    bnorm = np.linalg.norm(rhs, axis=0)
-    live = np.flatnonzero(bnorm)
+    live = np.flatnonzero(rhs.any(axis=0))
     if live.size == 0:
         return X.reshape(np.shape(B)), 0.0
-    size = n // blocks
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    offsets = A.indices - rows
-    b = int(offsets.max())
+    stencil = A.data.reshape(n, -1)
+    steps = _linear_offsets(grid)
+    b = int(steps.max())
     unknowns = n - blocks if singular else n
     if unknowns * (b + 1) ** 2 <= settings.direct_cost_cap:
-        upper, load = offsets >= 0, rhs
-        if singular:
-            # Pinned nodes get zero rows and columns and a unit diagonal.
-            pinned = np.zeros(n, dtype=bool)
-            pinned[::size] = True
-            upper &= ~(pinned[rows] | pinned[A.indices])
-            load = np.where(pinned[:, None], 0.0, rhs)
         # Upper band storage band[b + i - j, j] = A[i, j], laid out column by
-        # column (Fortran order) so that LAPACK factors it in place.
-        band = np.bincount(
-            A.indices[upper] * (b + 1) + b - offsets[upper],
-            weights=A.data[upper], minlength=n * (b + 1),
-        ).reshape(n, b + 1).T
+        # column (Fortran order) so that LAPACK factors it in place.  Column
+        # j's entries are row j's toward its lower neighbours; at narrow
+        # grids several stencil columns share one band row, one of them
+        # nonzero per node.
+        band = np.zeros((n, b + 1)).T
+        for k in np.flatnonzero(steps <= 0):
+            band[b + steps[k]] += stencil[:, k]
+        load = rhs
         if singular:
-            band[b, pinned] = 1.0
+            # Pinned nodes get zero rows and columns and a unit diagonal: a
+            # pinned row's upper entries sit in its upper neighbours' columns.
+            band[:, ::size] = 0.0
+            corners = list(itertools.product((0, 1), repeat=len(grid) - 1))
+            for step in steps[_stencil_column(corners)]:
+                band[b - step, step::size] = 0.0
+            band[b, ::size] = 1.0
+            load = rhs.copy()
+            load[::size] = 0.0
         # Node 0's pinned equation, x = 0, is left out of the call: for one
         # block it is the band and LAPACK call of the system without node 0.
         pin = 1 if singular else 0
@@ -142,39 +212,41 @@ def _solve_spd(A, B, blocks: int = 1, singular: bool = False):
             # Each block's column means summed as for a single column.
             X3 = X.reshape(blocks, size, -1)
             X3 -= np.ascontiguousarray(X3.transpose(0, 2, 1)).mean(axis=-1)[:, None]
-        r = np.linalg.norm((A @ X - rhs).reshape(blocks, size, -1), axis=1)
-        part = np.linalg.norm(rhs.reshape(blocks, size, -1), axis=1)
-        res = np.divide(r, part, out=np.zeros(r.shape), where=part > 0)
-    elif blocks > 1:
-        res = np.zeros(blocks)
-        for k in range(blocks):
-            block = slice(k * size, (k + 1) * size)
-            X[block], res[k] = _solve_spd(A[block, block], rhs[block],
-                                          singular=singular)
-    else:
-        diag = A.diagonal()
-        M = scipy.sparse.linalg.LinearOperator((n, n), matvec=lambda v: v / diag)
-        res = np.empty(live.size)
-        for k, j in enumerate(live):
-            x = None
-            for _ in range(1 + PCG_RESTARTS):
-                x, info = scipy.sparse.linalg.cg(
-                    A, rhs[:, j], x0=x, rtol=settings.tolerance, atol=0.0,
-                    maxiter=settings.max_iter_factor * n, M=M,
-                )
-                if singular:
-                    x -= x.mean()
-                res[k] = np.linalg.norm(A @ x - rhs[:, j]) / bnorm[j]
-                if info != 0 or res[k] <= settings.tolerance:
-                    break
-            if info != 0 or res[k] > settings.tolerance:
-                raise ConvergenceError(
-                    f"PCG missed tolerance {settings.tolerance:.0e} "
-                    f"(info={info}, residual {res[k]:.3e})",
-                    residual=float(res[k]),
-                )
-            X[:, j] = x
-    return X.reshape(np.shape(B)), float(res.max())
+        res = _residual(A, X, rhs, blocks)
+        if not np.isfinite(res):
+            raise ConvergenceError(
+                f"banded solve gave a non-finite residual ({res})", residual=res)
+        return X.reshape(np.shape(B)), res
+    diag = stencil[:, stencil.shape[1] // 2]
+    M = scipy.sparse.linalg.LinearOperator((n, n), matvec=lambda v: v / diag)
+    # CG stops at |r| <= rtol |rhs|: relative to the smallest nonzero block
+    # part of the column, which bounds every block's residual by its own.
+    parts = np.linalg.norm(rhs.reshape(blocks, size, -1), axis=1)
+    rtols = settings.tolerance * np.min(parts, axis=0, where=parts > 0,
+                                        initial=np.inf) / np.linalg.norm(parts, axis=0)
+    res = 0.0
+    for j in live:
+        x = None
+        for _ in range(1 + PCG_RESTARTS):
+            x, info = scipy.sparse.linalg.cg(
+                A, rhs[:, j], x0=x, rtol=rtols[j], atol=0.0,
+                maxiter=settings.max_iter_factor * n, M=M,
+            )
+            if singular:
+                x3 = x.reshape(blocks, size)
+                x3 -= x3.mean(axis=1)[:, None]
+            res_j = _residual(A, x, rhs[:, j], blocks)
+            if info != 0 or res_j <= settings.tolerance:
+                break
+        if info != 0 or not res_j <= settings.tolerance:
+            raise ConvergenceError(
+                f"PCG missed tolerance {settings.tolerance:.0e} "
+                f"(info={info}, residual {res_j:.3e})",
+                residual=res_j,
+            )
+        X[:, j] = x
+        res = max(res, res_j)
+    return X.reshape(np.shape(B)), res
 
 
 @lru_cache(maxsize=None)
@@ -222,6 +294,12 @@ class CubeOperator:
     one block per subcube, in subcubes() order, each block that subcube's
     own operator with its nodes numbered as there.  Solves act on every
     subcube at once, and the quadratures average over the whole cube.
+
+    K is a CSR matrix in stencil layout: its data is the (n_nodes, 3^d)
+    array of each node's entries toward its neighbours, in
+    _stencil_offsets order, which the solves read.  Its column indices are
+    shared and read-only, so scipy operations that sort or merge them in
+    place (abs, max, sum_duplicates) raise instead of changing the layout.
     """
 
     def __init__(self, field: CoefficientField, cube: TriadicCube, level=None):
@@ -252,34 +330,35 @@ class CubeOperator:
         self.cell_matrices = cells
         self.n_cells = cells.shape[0]
 
-        # Global node index of each cell corner.
-        cell_coords = np.stack(
-            np.meshgrid(*[np.arange(side)] * d, indexing="ij"), axis=-1
-        ).reshape(-1, d)
-        strides = np.array([(side + 1) ** (d - 1 - a) for a in range(d)])
-        corner_offsets = np.array(corners)  # (2^d, d)
-        local_nodes = (cell_coords[:, None, :] + corner_offsets[None, :, :]) @ strides
-        first = np.arange(self.blocks) * (side + 1) ** d
-        # (n_cells, 2^d)
-        self.cell_nodes = (first[:, None, None] + local_nodes).reshape(-1, len(corners))
+        # The nodes of each subcube form one (side + 1)^d grid in C order.
+        self._grid = (self.blocks,) + (side + 1,) * d
+        nodes = np.arange(self.n_nodes).reshape(self._grid)
+        corner_nodes = [(slice(None),) + tuple(slice(c, c + side) for c in corner)
+                        for corner in corners]
+        # (n_cells, 2^d): global node index of each cell corner.
+        self.cell_nodes = np.stack([nodes[sl].ravel() for sl in corner_nodes], axis=-1)
 
-        ke = np.einsum("cab,abij->cij", cells, G)  # per-cell element matrices
+        # Element matrices ke[i * 2^d + j, c], added into the stencil array
+        # (built stencil column major, then transposed): row i of a cell's
+        # matrix goes to its corner i, toward corner j.
         nb = len(corners)
-        rows = np.repeat(self.cell_nodes, nb, axis=1).ravel()
-        cols = np.tile(self.cell_nodes, (1, nb)).ravel()
-        self.stiffness = scipy.sparse.csr_array(
-            (ke.ravel(), (rows, cols)), shape=(self.n_nodes, self.n_nodes)
-        )
+        ke = G.reshape(d * d, nb * nb).T @ cells.reshape(-1, d * d).T
+        ke = ke.reshape((nb * nb, self.blocks) + (side,) * d)
+        columns = _stencil_column(np.subtract(np.array(corners)[None],
+                                              np.array(corners)[:, None]))
+        stencil = np.zeros((3 ** d,) + self._grid)
+        for m, k in enumerate(columns.ravel()):
+            stencil[(k,) + corner_nodes[m // nb]] += ke[m]
+        stencil = stencil.reshape(3 ** d, -1).T.copy()
+        if not np.isfinite(stencil).all():
+            raise ConsistencyError(f"stiffness matrix of {cube} is not finite")
+        self.stiffness = _stencil_matrix(stencil, self._grid)
 
-        node_coords = np.stack(
-            np.meshgrid(*[np.arange(side + 1)] * d, indexing="ij"), axis=-1
-        ).reshape(-1, d)
-        self.node_coords = np.tile(node_coords, (self.blocks, 1))
-        self.boundary_mask = np.any(
-            (self.node_coords == 0) | (self.node_coords == side), axis=1
-        )
-        self.interior_idx = np.flatnonzero(~self.boundary_mask)
-        self.boundary_idx = np.flatnonzero(self.boundary_mask)
+        coords = np.indices((side + 1,) * d).reshape(d, -1).T
+        self.node_coords = np.tile(coords, (self.blocks, 1))
+        boundary = np.any((self.node_coords == 0) | (self.node_coords == side), axis=1)
+        self.interior_idx = np.flatnonzero(~boundary)
+        self.boundary_idx = np.flatnonzero(boundary)
 
     # -- quadratures -----------------------------------------------------
 
@@ -320,7 +399,7 @@ class CubeOperator:
     def interior_residual(self, w: np.ndarray) -> float:
         """Relative residual of the harmonicity condition at interior nodes."""
         r = (self.stiffness @ w)[self.interior_idx]
-        scale = np.abs(self.stiffness).max() * max(
+        scale = np.abs(self.stiffness.data).max() * max(
             np.abs(w - w.mean()).max(), 1e-300
         )
         return float(np.linalg.norm(r) / (scale * max(len(r), 1) ** 0.5 + 1e-300))
@@ -339,9 +418,19 @@ class CubeOperator:
         w = np.zeros((self.n_nodes,) + np.shape(boundary_values)[1:])
         w[self.boundary_idx] = boundary_values
         ii = self.interior_idx
-        K = self.stiffness
-        w[ii], res = _solve_spd(_restrict(K, ~self.boundary_mask), -(K @ w)[ii],
-                                self.blocks)
+        # The interior nodes' stencil, without the entries toward the boundary.
+        d = self.dimension
+        inner = (slice(None),) + (slice(1, -1),) * d
+        stencil = self.stiffness.data.reshape(self._grid + (-1,))[inner].copy()
+        offsets = _stencil_offsets(d)
+        for a in range(d):
+            for end, sign in ((0, -1), (-1, 1)):
+                face = [slice(None)] * (d + 2)
+                face[1 + a], face[-1] = end, np.flatnonzero(offsets[:, a] == sign)
+                stencil[tuple(face)] = 0.0
+        grid = stencil.shape[:-1]
+        A = _stencil_matrix(stencil.reshape(ii.size, -1), grid)
+        w[ii], res = _solve_spd(A, grid, -(self.stiffness @ w)[ii])
         return BlockSolution(self, w, res)
 
     def solve_dirichlet(self, p) -> BlockSolution:
@@ -353,7 +442,7 @@ class CubeOperator:
         """Maximizer of (1/|cube|) int (q . grad w - 1/2 grad w . a grad w),
         gauge-fixed to zero mean on each subcube.  The attained maximum is
         energy(w)."""
-        w, res = _solve_spd(self.stiffness, self.flux_load(q), self.blocks,
+        w, res = _solve_spd(self.stiffness, self._grid, self.flux_load(q),
                             singular=True)
         return BlockSolution(self, w, res)
 

@@ -29,6 +29,7 @@ from cgflow.coarse import (
     first_variation_sides,
     fluxmap_sides,
     integral_bound_slacks,
+    level_pairs,
     response_defect,
     second_variation_sides,
 )
@@ -118,6 +119,36 @@ def test_2d_level4_pair_is_two_banded_solves_in_bounded_memory(banded_calls):
         tracemalloc.stop()
     assert len(banded_calls) == 2
     assert peak < 32 * 2 ** 20
+
+
+def test_2d_level5_pair_peak_is_about_one_band(banded_calls):
+    # The Neumann band of 59 536 nodes holds about 117 MB.  Everything else
+    # a pair allocates while that band is live is small beside it: a band
+    # copy (C order for LAPACK, say) would take the peak past 2x.
+    f = lognormal_field(2, 5, seed=3)
+    tracemalloc.start()
+    try:
+        level_pairs(f, f.cube, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    band_bytes = max(rows * unknowns for rows, unknowns in banded_calls) * 8
+    assert peak <= 1.5 * band_bytes
+
+
+def test_level_pairs_keep_a_nan_residual(monkeypatch):
+    # The worst residual of a level is NaN if any solve's is, never 0.
+    f = lognormal_field(2, 2, seed=4)
+    solve = CubeOperator.solve_neumann
+
+    def nan_residual(self, q):
+        sol = solve(self, q)
+        sol.residual = float("nan")
+        return sol
+
+    monkeypatch.setattr(CubeOperator, "solve_neumann", nan_residual)
+    residuals = level_pairs(f, f.cube, 1)[3]
+    assert residuals[0] < 1e-12 and np.isnan(residuals[1])
 
 
 def test_3d_level3_pair_stays_on_pcg(banded_calls):

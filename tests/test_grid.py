@@ -16,6 +16,7 @@ from cgflow import (
     subcubes,
 )
 from cgflow.errors import CapacityError
+from cgflow.grid import check_spd_array
 
 
 def test_cube_basic_properties():
@@ -72,6 +73,28 @@ def test_spd_matrix_validation():
                 [[math.inf, 0.0], [0.0, 1.0]]):
         with pytest.raises(ParameterError):
             field(bad)
+
+
+def test_diagonal_stacks_are_checked_on_their_diagonal():
+    # A stack without a nonzero off-diagonal entry is checked on its
+    # diagonal only, with the same guarantees; one such entry anywhere
+    # brings back the full check of every matrix.
+    ok = np.tile(np.diag([2.0, 3.0]), (5, 1, 1))
+    check_spd_array(ok)
+    for bad, message in ((0.0, "positive definite"), (-1.0, "positive definite"),
+                         (math.nan, "finite"), (math.inf, "finite")):
+        cells = ok.copy()
+        cells[3, 1, 1] = bad
+        with pytest.raises(ParameterError, match=message):
+            check_spd_array(cells)
+    for i, j, bad, message in ((slice(None), slice(None), [[1.0, 2.0], [2.0, 1.0]],
+                                "positive definite"),
+                               (0, 1, 1e-3, "symmetric"),
+                               (1, 0, math.nan, "finite")):
+        cells = ok.copy()
+        cells[2, i, j] = bad
+        with pytest.raises(ParameterError, match=message):
+            check_spd_array(cells)
 
 
 def test_ensemble_spec_strict_params():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,6 +14,7 @@ from cgflow import (
     solve_v,
     subcubes,
 )
+from cgflow.coarse import level_pairs
 from cgflow.errors import ConvergenceError, PreconditionError
 from cgflow.solver import DEFAULT_SETTINGS, banded_cost, stack_level
 
@@ -214,16 +217,15 @@ def test_stacked_solves_equal_column_solves(solver_settings, banded_calls, backe
     assert len(banded_calls) == (11 if backend == "banded" else 0)
 
 
-@pytest.mark.parametrize("backend", ["banded", "split", "pcg"])
+@pytest.mark.parametrize("backend", ["banded", "pcg"])
 def test_block_diagonal_solves_equal_per_cube_solves(solver_settings, banded_calls,
                                                      backend):
     # The level-1 operator of a 2d L2 cube solves its 9 subcubes at once:
-    # one banded solve per call within the cap; above it, one solve per
-    # subcube, banded where the subcube's own cost is within the cap, PCG
-    # to the tolerance otherwise.  Each block equals that subcube's own solve.
+    # one banded solve per call within the cap, PCG on the whole stack to
+    # each subcube's tolerance above it.  Each block equals that subcube's
+    # own solve.
     f = lognormal_field(2, 2, seed=17)
-    cap = {"banded": DEFAULT_SETTINGS.direct_cost_cap, "split": banded_cost(2, 1),
-           "pcg": 0}[backend]
+    cap = {"banded": DEFAULT_SETTINGS.direct_cost_cap, "pcg": 0}[backend]
     settings = solver_settings(direct_cost_cap=cap)
     op = CubeOperator(f, f.cube, level=1)
     subs = [CubeOperator(f, sub) for sub in subcubes(f.cube, 1)]
@@ -251,8 +253,8 @@ def test_block_diagonal_solves_equal_per_cube_solves(solver_settings, banded_cal
             assert stacked.residual <= settings.tolerance
         else:
             assert stacked.residual < 1e-12
-    # 3 stacked calls (one per subcube when split) and 27 single ones.
-    assert len(banded_calls) == {"banded": 30, "split": 54, "pcg": 0}[backend]
+    # 3 stacked calls and 27 single ones.
+    assert len(banded_calls) == {"banded": 30, "pcg": 0}[backend]
 
 
 @pytest.mark.parametrize("d, level", [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3),
@@ -321,18 +323,23 @@ def anisotropic_field(d, m, seed):
     return CoefficientField(d, m, cells.reshape((3 ** m,) * d + (d, d)))
 
 
-@pytest.mark.parametrize("field", [
-    pytest.param(lambda: lognormal_field(1, 3, seed=16), id="1d-L3"),
-    pytest.param(lambda: lognormal_field(2, 3, seed=16), id="2d-L3"),
-    pytest.param(lambda: lognormal_field(3, 2, seed=16), id="3d-L2"),
-    pytest.param(lambda: anisotropic_field(2, 3, seed=16), id="2d-L3-anisotropic"),
+@pytest.mark.parametrize("field, level", [
+    pytest.param(lambda: lognormal_field(1, 3, seed=16), None, id="1d-L3"),
+    pytest.param(lambda: lognormal_field(2, 3, seed=16), None, id="2d-L3"),
+    pytest.param(lambda: lognormal_field(3, 2, seed=16), None, id="3d-L2"),
+    pytest.param(lambda: anisotropic_field(2, 3, seed=16), None, id="2d-L3-anisotropic"),
+    # The interior grid of a level-1 cube is 2 nodes wide, so stencil
+    # offsets that differ share one band diagonal.
+    pytest.param(lambda: lognormal_field(2, 1, seed=16), None, id="2d-L1"),
+    pytest.param(lambda: lognormal_field(3, 1, seed=16), None, id="3d-L1"),
+    pytest.param(lambda: anisotropic_field(2, 2, seed=16), 1, id="2d-L2-level1"),
 ])
-def test_banded_solves_match_dense_oracle(banded_calls, field):
+def test_banded_solves_match_dense_oracle(banded_calls, field, level):
     # Dirichlet and pinned Neumann block solves against np.linalg.solve on
-    # the densified system.
+    # the densified system, the first node of every subcube pinned.
     f = field()
     d = f.dimension
-    op = CubeOperator(f, f.cube)
+    op = CubeOperator(f, f.cube, level)
     K = op.stiffness.toarray()
     ii = op.interior_idx
     rng = np.random.default_rng(16)
@@ -341,15 +348,41 @@ def test_banded_solves_match_dense_oracle(banded_calls, field):
     dirichlet[op.boundary_idx] = data
     dirichlet[ii] = np.linalg.solve(K[np.ix_(ii, ii)], -(K @ dirichlet)[ii])
     fluxes = rng.standard_normal((d, 2))
+    size = op.n_nodes // op.blocks
+    free = np.arange(op.n_nodes) % size > 0
     neumann = np.zeros((op.n_nodes, 2))
-    neumann[1:] = np.linalg.solve(K[1:, 1:], op.flux_load(fluxes)[1:])
-    neumann -= neumann.mean(axis=0)
+    neumann[free] = np.linalg.solve(K[np.ix_(free, free)], op.flux_load(fluxes)[free])
+    neumann = neumann.reshape(op.blocks, size, 2)
+    neumann -= neumann.mean(axis=1, keepdims=True)
+    neumann = neumann.reshape(op.n_nodes, 2)
     for sol, oracle in ((op.solve_dirichlet_data(data), dirichlet),
                         (op.solve_neumann(fluxes), neumann)):
         np.testing.assert_allclose(sol.values, oracle, rtol=0.0,
                                    atol=1e-12 * np.abs(oracle).max())
         assert sol.residual < 1e-12
     assert len(banded_calls) == 2
+
+
+def test_huge_cells_give_finite_residuals():
+    # Residual norms of cells near 1e307 overflow unless the vectors are
+    # scaled first; the pair reports the residuals of its own solves.
+    f = constant_field(2, 1, c=1e307)
+    op = CubeOperator(f, f.cube)
+    residuals = (op.solve_dirichlet(np.eye(2)).residual,
+                 op.solve_neumann(np.eye(2)).residual)
+    assert max(residuals) < 1e-12
+    a, _, _, pair_residuals = level_pairs(f, f.cube, 1)
+    assert pair_residuals == residuals
+    np.testing.assert_allclose(a[0] / 1e307, np.eye(2), rtol=0.0, atol=1e-12)
+
+
+def test_overflowing_solution_raises_convergence_error():
+    # Cells of 1e-300 under a flux of 1e10: the potential overflows, and its
+    # NaN residual raises instead of being returned.
+    f = constant_field(2, 1, c=1e-300)
+    with pytest.raises(ConvergenceError) as info:
+        CubeOperator(f, f.cube).solve_neumann([1e10, 0.0])
+    assert math.isnan(info.value.residual)
 
 
 @pytest.mark.parametrize("seed", range(6))
