@@ -513,7 +513,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             _seed(args.seed, "--seed")
         config = _load_config(args.config)
-        code = _COMMANDS[args.command](config, args.out, args.threads, args.seed)
+        # Non-finite numbers are caught by the checks and classified below;
+        # numpy's warnings about them would only precede that one line.
+        with np.errstate(all="ignore"):
+            code = _COMMANDS[args.command](config, args.out, args.threads, args.seed)
     except CgflowError as exc:
         code = EXIT_SOLVER
         for cls, c in _ERROR_CODES:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.linalg
@@ -37,9 +37,10 @@ class SolverSettings:
     node order) is solved by banded Cholesky while its cost m (b + 1)^2 stays
     at or below `direct_cost_cap`; its band takes (b + 1) m floats.  The cap
     of 5e9 puts every 2d cube up to level 5 (3.6e9) and every 3d cube up to
-    level 2 on the banded path; 3d level 3 (1.45e10, a 143 MB band) stays on
-    Jacobi-preconditioned CG, which runs to true relative residual
-    `tolerance` within max_iter_factor * unknowns iterations per run."""
+    level 2 on the banded path; 3d level 3 (1.45e10, a 143 MB band) and 2d
+    level 6 go to CG preconditioned by a multigrid V-cycle, which runs to
+    true relative residual `tolerance` within max_iter_factor * unknowns
+    iterations per run."""
 
     tolerance: float = 1e-10
     max_iter_factor: int = 10
@@ -151,6 +152,104 @@ def _residual(A, X, rhs, blocks: int) -> float:
     return float(np.max(r_norm[live] / part_norm[live], initial=0.0))
 
 
+@lru_cache(maxsize=16)
+def _prolongation(grid, singular: bool):
+    """Read-only Q1 interpolation P from the lattice coarsened 3:1 per axis
+    to the node lattice `grid` = (blocks, w, ..., w) of cubes of side s, w =
+    s - 1 interior nodes (Dirichlet) or w = s + 1 nodes (`singular`, Neumann)
+    per axis; returns P, its transpose as CSR, and the coarse lattice.  Per
+    axis, fine node i takes weights 1 - r/3 and r/3 from coarse nodes i // 3
+    and i // 3 + 1, r = i % 3; the Dirichlet lattices leave out the boundary
+    nodes of both.  P is block diagonal, one block per cube."""
+    side = grid[1] - 1 if singular else grid[1] + 1
+    fine = np.arange(side + 1)
+    coarse, r = np.divmod(fine, 3)
+    shared = r > 0
+    P1 = scipy.sparse.csr_array(
+        (np.concatenate([1 - r / 3, r[shared] / 3]),
+         (np.concatenate([fine, fine[shared]]),
+          np.concatenate([coarse, coarse[shared] + 1]))),
+        shape=(side + 1, side // 3 + 1))
+    if not singular:
+        P1 = P1[1:-1, 1:-1]
+    P = scipy.sparse.identity(grid[0], format="csr")
+    for _ in grid[1:]:
+        P = scipy.sparse.kron(P, P1, format="csr")
+    # kron returns 64-bit indices; 32 bits halve the cache's index bytes.
+    dtype = np.int32 if P.nnz < 2 ** 31 else np.int64
+    P = scipy.sparse.csr_array((P.data, P.indices.astype(dtype), P.indptr.astype(dtype)),
+                               shape=P.shape)
+    R = P.T.tocsr()
+    for arr in (P.data, P.indices, P.indptr, R.data, R.indices, R.indptr):
+        arr.setflags(write=False)
+    return P, R, (grid[0],) + (P1.shape[1],) * (len(grid) - 1)
+
+
+def _multigrid(A, grid, singular: bool):
+    """Symmetric V(1,1)-cycle for A in stencil layout on the node lattice
+    `grid` = (blocks, w, ..., w), as a LinearOperator: the CG preconditioner
+    above the direct cost cap.
+
+    Each level coarsens 3:1 per axis (_prolongation) until the cubes have
+    side 3, with the Galerkin operators P^T A P.  The smoother is l1-Jacobi,
+    D^{-1} with D the row sums of |A|, which needs no damping: 2D - A is
+    positive definite for any SPD A (Baker, Falgout, Kolev & Yang, SIAM J.
+    Sci. Comput. 2011).  The side-3 level is solved by a dense inverse per
+    block, a Neumann block's first node pinned.  A cycle is x = D^{-1} b,
+    x += P V(P^T r), x += D^{-1} (r - A P V(P^T r)) for r = b - A x, so it
+    is symmetric and positive definite.  With `singular` (Neumann blocks)
+    it is applied between two removals of each block's mean, Q V(Q r),
+    which keeps it symmetric on the mean-zero space CG runs in."""
+    blocks, n = grid[0], A.shape[0]
+    side = grid[1] - 1 if singular else grid[1] + 1
+    levels = []
+    while side > 3:
+        P, R, grid = _prolongation(grid, singular)
+        # Every row holds its diagonal, so no row is empty.
+        d_inv = 1.0 / np.add.reduceat(np.abs(A.data), A.indptr[:-1])
+        AP = A @ P
+        levels.append((A, d_inv, AP, P, R))
+        A = R @ AP
+        side //= 3
+    size = A.shape[0] // blocks
+    coo = A.tocoo()
+    dense = np.zeros((blocks, size, size))
+    np.add.at(dense, (coo.row // size, coo.row % size, coo.col % size), coo.data)
+    if singular:
+        dense[:, 0, :] = 0.0
+        dense[:, :, 0] = 0.0
+        dense[:, 0, 0] = 1.0
+    inverse = np.linalg.inv(dense)
+    if singular:
+        inverse[:, 0, 0] = 0.0
+    inverse = (inverse + inverse.transpose(0, 2, 1)) / 2
+
+    def project(v):
+        v = v.reshape(blocks, -1)
+        return (v - v.mean(axis=1, keepdims=True)).reshape(-1)
+
+    cycle = partial(_v_cycle, levels, inverse)
+    matvec = (lambda r: project(cycle(project(r)))) if singular else cycle
+    return scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
+
+
+def _v_cycle(levels, inverse, b, k=0):
+    """One V-cycle of _multigrid from level k: `levels` holds (A, D^{-1},
+    A P, P, P^T) per level above the coarsest, whose blocks' dense inverses
+    are `inverse`.  A module function, not a closure over itself, so that a
+    finished solve's hierarchy is freed at once instead of by the cycle
+    collector."""
+    if k == len(levels):
+        return (inverse @ b.reshape(inverse.shape[:2] + (1,))).reshape(-1)
+    A, d_inv, AP, P, R = levels[k]
+    x = d_inv * b
+    r = b - A @ x
+    e = _v_cycle(levels, inverse, R @ r, k + 1)
+    x += P @ e
+    x += d_inv * (r - AP @ e)
+    return x
+
+
 def _solve_spd(A, grid, B, singular: bool = False):
     """Solve A X = B for an SPD matrix A in stencil layout on the node
     lattice `grid` = (blocks, w, ..., w), so block diagonal with one block
@@ -165,8 +264,9 @@ def _solve_spd(A, grid, B, singular: bool = False):
     on every block.  Within `direct_cost_cap` one banded Cholesky solve
     covers all blocks and columns, with the upper band copied from the
     stencil columns and, when singular, the first node of every block
-    pinned.  Above it Jacobi-PCG runs column by column, restarted from its
-    iterate up to PCG_RESTARTS times while the true residual misses
+    pinned.  Above it CG preconditioned by one multigrid V-cycle
+    (_multigrid, built once per call) runs column by column, restarted from
+    its iterate up to PCG_RESTARTS times while the true residual misses
     `tolerance`; a column that still misses it raises ConvergenceError, and
     so does a non-finite residual of the banded solve.  Zero columns give
     zero solutions.  The settings are read at call time."""
@@ -217,8 +317,7 @@ def _solve_spd(A, grid, B, singular: bool = False):
             raise ConvergenceError(
                 f"banded solve gave a non-finite residual ({res})", residual=res)
         return X.reshape(np.shape(B)), res
-    diag = stencil[:, stencil.shape[1] // 2]
-    M = scipy.sparse.linalg.LinearOperator((n, n), matvec=lambda v: v / diag)
+    M = _multigrid(A, grid, singular)
     # CG stops at |r| <= rtol |rhs|: relative to the smallest nonzero block
     # part of the column, which bounds every block's residual by its own.
     parts = np.linalg.norm(rhs.reshape(blocks, size, -1), axis=1)
@@ -333,10 +432,12 @@ class CubeOperator:
         # The nodes of each subcube form one (side + 1)^d grid in C order.
         self._grid = (self.blocks,) + (side + 1,) * d
         nodes = np.arange(self.n_nodes).reshape(self._grid)
-        corner_nodes = [(slice(None),) + tuple(slice(c, c + side) for c in corner)
-                        for corner in corners]
+        # Slices of the node grid selecting corner i of every cell.
+        self._corner_nodes = [(slice(None),) + tuple(slice(c, c + side) for c in corner)
+                              for corner in corners]
         # (n_cells, 2^d): global node index of each cell corner.
-        self.cell_nodes = np.stack([nodes[sl].ravel() for sl in corner_nodes], axis=-1)
+        self.cell_nodes = np.stack([nodes[sl].ravel() for sl in self._corner_nodes],
+                                   axis=-1)
 
         # Element matrices ke[i * 2^d + j, c], added into the stencil array
         # (built stencil column major, then transposed): row i of a cell's
@@ -348,7 +449,7 @@ class CubeOperator:
                                               np.array(corners)[:, None]))
         stencil = np.zeros((3 ** d,) + self._grid)
         for m, k in enumerate(columns.ravel()):
-            stencil[(k,) + corner_nodes[m // nb]] += ke[m]
+            stencil[(k,) + self._corner_nodes[m // nb]] += ke[m]
         stencil = stencil.reshape(3 ** d, -1).T.copy()
         if not np.isfinite(stencil).all():
             raise ConsistencyError(f"stiffness matrix of {cube} is not finite")
@@ -388,13 +489,13 @@ class CubeOperator:
         """Load vector b_i = int q . grad phi_i over the cube (per subcube)."""
         q = np.asarray(q, dtype=float)
         per_corner = (self._avg_grad @ q).reshape(len(self._avg_grad), -1)
-        cols = per_corner.shape[1]
-        # Each node's contributions summed in cell order.
-        index = self.cell_nodes[..., None] * cols + np.arange(cols)
-        values = np.broadcast_to(per_corner, index.shape)
-        b = np.bincount(index.ravel(), weights=values.ravel(),
-                        minlength=self.n_nodes * cols)
-        return b.reshape((self.n_nodes,) + q.shape[1:])
+        # Every cell loads its corner i alike: one slice-add per corner and
+        # column.
+        b = np.zeros(per_corner.shape[1:] + self._grid)
+        for corner, load in zip(self._corner_nodes, per_corner):
+            for column, value in zip(b, load):
+                column[corner] += value
+        return b.reshape(len(b), self.n_nodes).T.reshape((self.n_nodes,) + q.shape[1:])
 
     def interior_residual(self, w: np.ndarray) -> float:
         """Relative residual of the harmonicity condition at interior nodes."""

@@ -1,8 +1,10 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from cgflow import solver
 
@@ -36,6 +38,27 @@ def banded_calls(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "solveh_banded", counted)
     return calls
+
+
+@pytest.fixture
+def cg_runs(monkeypatch):
+    """A list that gains one entry per scipy CG run made in this process
+    for the rest of one test, with the preconditioner `M` it was given and
+    the `iterations` it took (its callbacks)."""
+    runs = []
+    cg = scipy.sparse.linalg.cg
+
+    def counted(A, b, *args, **kwargs):
+        run = SimpleNamespace(M=kwargs.get("M"), iterations=0)
+        runs.append(run)
+
+        def callback(xk):
+            run.iterations += 1
+
+        return cg(A, b, *args, callback=callback, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "cg", counted)
+    return runs
 
 
 @pytest.fixture

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cgflow
 from cgflow.cli import main, run_verification
 
 
@@ -264,8 +268,8 @@ def test_bad_integer_settings_are_config_errors(tmp_path, capsys, command, confi
 
 
 # Cells near the float range overflow in exp, and a pair's Gram matrices
-# overflow in the stiffness products: the warnings are the expected outcome.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# overflow in the stiffness products; the command reports that as its one
+# classified error, with no RuntimeWarning.
 @pytest.mark.parametrize("ensemble, code, error", [
     ({"kind": "lognormal_iid", "params": {"log_mean": 1000.0, "log_sigma": 0.5}},
      2, "ParameterError"),
@@ -280,6 +284,23 @@ def test_non_finite_matrices_are_rejected(tmp_path, capsys, ensemble, code, erro
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == error
     assert "not finite" in err["message"]
+
+
+def test_overflow_error_is_the_only_stderr_output(tmp_path):
+    # Run as a program, where numpy's RuntimeWarnings would print to stderr
+    # before the error line.
+    cfg = write_config(tmp_path, "c.json", {
+        "dimension": 2, "level": 1,
+        "ensemble": {"kind": "lognormal_iid",
+                     "params": {"log_mean": 1000.0, "log_sigma": 0.5}}})
+    src = os.path.dirname(os.path.dirname(cgflow.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cgflow.cli", "coarse-grain", "--config", cfg],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default"))
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert json.loads(proc.stderr)["error"] == "ParameterError"
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])

@@ -403,3 +403,97 @@ def test_pcg_meets_its_tolerance_or_raises(solver_settings, seed):
             assert exc.residual > settings.tolerance
         else:
             assert sol.residual <= settings.tolerance
+
+
+def test_flux_load_matches_per_cell_accumulation():
+    # The per-corner slice-adds give each node the loads of its cells, as
+    # gathering every cell's corner loads and summing them per node does.
+    for f, level in ((lognormal_field(2, 2, seed=20), 1),
+                     (lognormal_field(3, 2, seed=20), None),
+                     (lognormal_field(1, 3, seed=20), 2)):
+        op = CubeOperator(f, f.cube, level)
+        d = f.dimension
+        fluxes = np.random.default_rng(20).standard_normal((d, 3))
+        per_corner = op._avg_grad @ fluxes
+        index = op.cell_nodes[..., None] * 3 + np.arange(3)
+        oracle = np.bincount(index.ravel(),
+                             weights=np.broadcast_to(per_corner, index.shape).ravel(),
+                             minlength=op.n_nodes * 3).reshape(op.n_nodes, 3)
+        np.testing.assert_allclose(op.flux_load(fluxes), oracle, rtol=0.0,
+                                   atol=1e-14 * np.abs(oracle).max())
+        np.testing.assert_allclose(op.flux_load(fluxes[:, 0]), oracle[:, 0],
+                                   rtol=0.0, atol=1e-14 * np.abs(oracle).max())
+
+
+def two_phase_field(d, m, contrast, seed):
+    sigma = math.sqrt(contrast)
+    spec = EnsembleSpec("two_phase_iid",
+                        {"prob_hi": 0.5, "sigma_hi": sigma, "sigma_lo": 1 / sigma}, seed)
+    return generate(spec, d, m)
+
+
+@pytest.mark.parametrize("d, m, level", [(2, 2, None), (3, 2, None),
+                                         (2, 3, 2), (2, 2, 1)],
+                         ids=["2d-L2", "3d-L2", "2d-L3-level2", "2d-L2-level1"])
+def test_multigrid_preconditioner_is_symmetric_positive(solver_settings, cg_runs,
+                                                        d, m, level):
+    # The V-cycle CG is given, formed column by column: symmetric, and
+    # positive definite on the space CG runs in (each block's mean-zero
+    # vectors for the singular Neumann system).
+    f = two_phase_field(d, m, 100.0, seed=21)
+    solver_settings(direct_cost_cap=0)
+    op = CubeOperator(f, f.cube, level)
+    op.solve_dirichlet(np.eye(d)[0])
+    op.solve_neumann(np.eye(d)[0])
+    assert len(cg_runs) == 2
+    for run, singular in zip(cg_runs, (False, True)):
+        n = run.M.shape[0]
+        M = np.column_stack([run.M.matvec(e) for e in np.eye(n)])
+        scale = np.abs(M).max()
+        assert np.abs(M - M.T).max() <= 1e-12 * scale
+        if singular:
+            # Orthonormal basis of each block's mean-zero vectors.
+            basis = np.kron(np.eye(op.blocks),
+                            scipy.linalg.null_space(np.ones((1, n // op.blocks))))
+            M = basis.T @ M @ basis
+        assert np.linalg.eigvalsh((M + M.T) / 2)[0] > 0
+
+
+def test_multigrid_iterations_do_not_grow_with_level(solver_settings, cg_runs):
+    # Contrast 100: at most 40 iterations per column at 3d L3 (Jacobi-PCG
+    # took about 90 and 180), and at most 1.5 times the count at 3d L2.
+    f = two_phase_field(3, 3, 100.0, seed=1)
+    op = CubeOperator(f, f.cube)
+    op.solve_dirichlet(np.eye(3))
+    op.solve_neumann(np.eye(3))
+    top = [run.iterations for run in cg_runs]
+    cg_runs.clear()
+    solver_settings(direct_cost_cap=0)
+    f = two_phase_field(3, 2, 100.0, seed=1)
+    op = CubeOperator(f, f.cube)
+    op.solve_dirichlet(np.eye(3))
+    op.solve_neumann(np.eye(3))
+    below = [run.iterations for run in cg_runs]
+    assert len(top) == len(below) == 6
+    assert max(top) <= 40
+    for kind in (slice(0, 3), slice(3, 6)):
+        assert max(top[kind]) <= 1.5 * max(below[kind])
+
+
+@pytest.mark.parametrize("d, m", [(2, 3), (3, 2)])
+def test_laminate_oracle_on_the_pcg_path(solver_settings, banded_calls, cg_runs, d, m):
+    # Cells diag(alpha(x_0), 1, ...): the Neumann solve for q = e_0 depends
+    # on x_0 only and the affine data p = e_i, i >= 1, are discrete
+    # a-harmonic, so a_*^{-1}[0, 0] = mean(1/alpha) and a[i, i] =
+    # a_*^{-1}[i, i] = 1 exactly.  Contrast 1e4 is multigrid's slowest case.
+    spec = EnsembleSpec("laminate_1d",
+                        {"prob_hi": 0.5, "sigma_hi": 100.0, "sigma_lo": 0.01}, 22)
+    f = generate(spec, d, m)
+    solver_settings(direct_cost_cap=0)
+    a, _, a_star_inv, _ = level_pairs(f, f.cube, m)
+    alpha = f.cells.reshape(-1, d, d)[:, 0, 0]
+    assert a_star_inv[0, 0, 0] == pytest.approx(np.mean(1 / alpha), rel=1e-8)
+    for i in range(1, d):
+        assert a[0, i, i] == pytest.approx(1.0, rel=1e-8)
+        assert a_star_inv[0, i, i] == pytest.approx(1.0, rel=1e-8)
+    assert banded_calls == [] and len(cg_runs) >= 2 * d
