@@ -475,6 +475,9 @@ _ERROR_CODES = (
     (ReliabilityError, EXIT_SOLVER),
     (PigeonholeDiagnosticError, EXIT_SOLVER),
     (ParameterError, EXIT_CONFIG),
+    # The allocator refused a cube too large for memory: a capacity limit
+    # like the budget caps.
+    (MemoryError, EXIT_BUDGET),
 )
 
 
@@ -517,14 +520,16 @@ def main(argv=None) -> int:
         # numpy's warnings about them would only precede that one line.
         with np.errstate(all="ignore"):
             code = _COMMANDS[args.command](config, args.out, args.threads, args.seed)
-    except CgflowError as exc:
+    except (CgflowError, MemoryError) as exc:
         code = EXIT_SOLVER
         for cls, c in _ERROR_CODES:
             if isinstance(exc, cls):
                 code = c
                 break
+        # numpy raises a private subclass of MemoryError.
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         sys.stderr.write(json.dumps({
-            "error": type(exc).__name__,
+            "error": name,
             "message": str(exc),
             "exit_code": code,
         }) + "\n")

@@ -234,22 +234,17 @@ def _aggregate(spec, dimension, levels, results, aborted) -> FlowRecord:
         tr_a = np.trace(a_s, axis1=1, axis2=2) / d
         tr_ainv = np.trace(ainv_s, axis1=1, axis2=2) / d
         theta, theta_se = _theta_with_se(tr_a, tr_ainv)
-        est = ScaleEstimate(level, n, abar, abar_se, ainv_bar, ainv_se,
-                            theta, theta_se)
-        if li > 0:
-            # Additivity defect between consecutive recorded levels at
-            # (p, q) = (e_1, e_1); per-sample values give the correlated SE.
-            tau_s = 0.5 * (
-                a_stack[:, li - 1, 0, 0] - a_s[:, 0, 0]
-                + ainv_stack[:, li - 1, 0, 0] - ainv_s[:, 0, 0]
-            )
-            est.tau_prev = float(tau_s.mean())
-            est.tau_prev_se = (
-                float(tau_s.std(ddof=1) / math.sqrt(n)) if n >= 2 else 0.0
-            )
-        estimates.append(est)
-    return FlowRecord(dimension, max(levels), spec, estimates,
-                      a_stack, ainv_stack, aborted)
+        estimates.append(ScaleEstimate(level, n, abar, abar_se, ainv_bar,
+                                       ainv_se, theta, theta_se))
+    record = FlowRecord(dimension, max(levels), spec, estimates,
+                        a_stack, ainv_stack, aborted)
+    # Additivity defect between consecutive recorded levels at (p, q) =
+    # (e_1, e_1); per-sample values give the correlated SE.
+    e1 = np.eye(d)[0]
+    for li in range(1, len(levels)):
+        estimates[li].tau_prev, estimates[li].tau_prev_se = tau_from_record(
+            record, li, li - 1, e1, e1)
+    return record
 
 
 def _run_samples(spec, dimension, levels, samples, symmetrize, method, workers):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 import scipy.linalg
@@ -351,32 +351,28 @@ def _solve_spd(A, grid, B, singular: bool = False):
 @lru_cache(maxsize=None)
 def _reference_grad_integrals(d: int):
     """G[a, b, i, j] = int_{[0,1]^d} d_a phi_i d_b phi_j for the 2^d Q1 basis
-    functions; exact via 2-point Gauss per axis.  Also returns the corner
-    tuple list and the cell-average gradient table g[i, a] = avg d_a phi_i."""
-    corners = list(itertools.product((0, 1), repeat=d))
-    nb = len(corners)
-    gp = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
-    gw = np.array([0.5, 0.5])
-    pts = list(itertools.product(range(2), repeat=d))
+    functions phi_i(x) = prod_k phi_{nu_k}(x_k), nu = corners[i], with
+    phi_0 = 1 - x and phi_1 = x, and the cell-average gradient table
+    g[i, a] = int d_a phi_i.  Each is a Kronecker product over the axes of
+    exact 1d integrals: the mass int phi_m phi_n, the mixed int phi_m' phi_n
+    and the stiffness int phi_m' phi_n' matrices, the means int phi_m and
+    the slopes phi_m'."""
+    corners = tuple(itertools.product((0, 1), repeat=d))
+    mass = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
+    mixed = np.array([[-0.5, -0.5], [0.5, 0.5]])
+    stiffness = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    means, slopes = np.array([0.5, 0.5]), np.array([-1.0, 1.0])
 
-    grads = np.zeros((len(pts), nb, d))
-    weights = np.zeros(len(pts))
-    for pi, pidx in enumerate(pts):
-        x = np.array([gp[k] for k in pidx])
-        weights[pi] = np.prod([gw[k] for k in pidx])
-        for i, nu in enumerate(corners):
-            for a in range(d):
-                val = 2 * nu[a] - 1.0
-                for b in range(d):
-                    if b != a:
-                        val *= nu[b] * x[b] + (1 - nu[b]) * (1 - x[b])
-                grads[pi, i, a] = val
+    def factor(k, a, b):
+        if k == a:
+            return stiffness if k == b else mixed
+        return mixed.T if k == b else mass
 
-    G = np.einsum("p,pia,pjb->abij", weights, grads, grads)
-    avg_grad = np.array(
-        [[(2 * nu[a] - 1.0) / 2 ** (d - 1) for a in range(d)] for nu in corners]
-    )
-    return tuple(corners), G, avg_grad
+    G = np.array([[reduce(np.kron, [factor(k, a, b) for k in range(d)])
+                   for b in range(d)] for a in range(d)])
+    avg_grad = np.stack([reduce(np.kron, [slopes if k == a else means for k in range(d)])
+                         for a in range(d)], axis=-1)
+    return corners, G, avg_grad
 
 
 class CubeOperator:
@@ -411,10 +407,7 @@ class CubeOperator:
         d = field.dimension
         side = 3 ** level
         count = 3 ** (cube.level - level)  # subcubes per axis
-        self.field = field
-        self.cube = cube
         self.dimension = d
-        self.side = side
         self.blocks = count ** d
         self.n_nodes = self.blocks * (side + 1) ** d
         self.volume = float(cube.volume)
@@ -427,17 +420,18 @@ class CubeOperator:
         axes = tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))
         cells = grouped.transpose(axes + (2 * d, 2 * d + 1)).reshape(-1, d, d)
         self.cell_matrices = cells
-        self.n_cells = cells.shape[0]
 
-        # The nodes of each subcube form one (side + 1)^d grid in C order.
+        # The nodes of each subcube form one (side + 1)^d grid in C order;
+        # every index set is a slice or mask of this grid.
         self._grid = (self.blocks,) + (side + 1,) * d
-        nodes = np.arange(self.n_nodes).reshape(self._grid)
         # Slices of the node grid selecting corner i of every cell.
         self._corner_nodes = [(slice(None),) + tuple(slice(c, c + side) for c in corner)
                               for corner in corners]
-        # (n_cells, 2^d): global node index of each cell corner.
-        self.cell_nodes = np.stack([nodes[sl].ravel() for sl in self._corner_nodes],
-                                   axis=-1)
+        # The interior nodes of every subcube, and the flat mask of the rest.
+        self._inner = (slice(None),) + (slice(1, -1),) * d
+        boundary = np.ones(self._grid, dtype=bool)
+        boundary[self._inner] = False
+        self.boundary = boundary.reshape(-1)
 
         # Element matrices ke[i * 2^d + j, c], added into the stencil array
         # (built stencil column major, then transposed): row i of a cell's
@@ -455,12 +449,6 @@ class CubeOperator:
             raise ConsistencyError(f"stiffness matrix of {cube} is not finite")
         self.stiffness = _stencil_matrix(stencil, self._grid)
 
-        coords = np.indices((side + 1,) * d).reshape(d, -1).T
-        self.node_coords = np.tile(coords, (self.blocks, 1))
-        boundary = np.any((self.node_coords == 0) | (self.node_coords == side), axis=1)
-        self.interior_idx = np.flatnonzero(~boundary)
-        self.boundary_idx = np.flatnonzero(boundary)
-
     # -- quadratures -----------------------------------------------------
 
     def energy(self, w: np.ndarray) -> float:
@@ -468,8 +456,10 @@ class CubeOperator:
         return float(0.5 * w @ (self.stiffness @ w) / self.volume)
 
     def cell_gradients(self, w: np.ndarray) -> np.ndarray:
-        """Per-cell average gradient, shape (n_cells, d); exact for Q1."""
-        return w[self.cell_nodes] @ self._avg_grad
+        """Per-cell average gradient, shape (cells, d); exact for Q1."""
+        nodal = w.reshape(self._grid)
+        values = np.stack([nodal[corner] for corner in self._corner_nodes])
+        return (self._avg_grad.T @ values.reshape(len(values), -1)).T
 
     def cell_fluxes(self, w: np.ndarray) -> np.ndarray:
         grads = self.cell_gradients(w)
@@ -483,7 +473,9 @@ class CubeOperator:
 
     def affine(self, p: np.ndarray) -> np.ndarray:
         """Nodal values of l_p(x) = p . x in (sub)cube-local coordinates."""
-        return self.node_coords @ np.asarray(p, dtype=float)
+        grid = self._grid[1:]
+        values = np.indices(grid).reshape(len(grid), -1).T @ np.asarray(p, dtype=float)
+        return np.tile(values, (self.blocks,) + (1,) * (values.ndim - 1))
 
     def flux_load(self, q: np.ndarray) -> np.ndarray:
         """Load vector b_i = int q . grad phi_i over the cube (per subcube)."""
@@ -499,11 +491,11 @@ class CubeOperator:
 
     def interior_residual(self, w: np.ndarray) -> float:
         """Relative residual of the harmonicity condition at interior nodes."""
-        r = (self.stiffness @ w)[self.interior_idx]
+        r = (self.stiffness @ w).reshape(self._grid)[self._inner].ravel()
         scale = np.abs(self.stiffness.data).max() * max(
             np.abs(w - w.mean()).max(), 1e-300
         )
-        return float(np.linalg.norm(r) / (scale * max(len(r), 1) ** 0.5 + 1e-300))
+        return float(np.linalg.norm(r) / (scale * max(r.size, 1) ** 0.5 + 1e-300))
 
     def require_harmonic(self, w: np.ndarray, tol: float = 1e-6) -> None:
         defect = self.interior_residual(w)
@@ -515,14 +507,14 @@ class CubeOperator:
     # -- linear solves ---------------------------------------------------
 
     def solve_dirichlet_data(self, boundary_values: np.ndarray) -> BlockSolution:
-        """Energy minimizer among nodal functions with the given boundary values."""
-        w = np.zeros((self.n_nodes,) + np.shape(boundary_values)[1:])
-        w[self.boundary_idx] = boundary_values
-        ii = self.interior_idx
+        """Energy minimizer among nodal functions with the given values at the
+        `boundary` nodes, taken in ascending node order."""
+        columns = np.shape(boundary_values)[1:]
+        w = np.zeros((self.n_nodes,) + columns)
+        w[self.boundary] = boundary_values
         # The interior nodes' stencil, without the entries toward the boundary.
         d = self.dimension
-        inner = (slice(None),) + (slice(1, -1),) * d
-        stencil = self.stiffness.data.reshape(self._grid + (-1,))[inner].copy()
+        stencil = self.stiffness.data.reshape(self._grid + (-1,))[self._inner].copy()
         offsets = _stencil_offsets(d)
         for a in range(d):
             for end, sign in ((0, -1), (-1, 1)):
@@ -530,14 +522,15 @@ class CubeOperator:
                 face[1 + a], face[-1] = end, np.flatnonzero(offsets[:, a] == sign)
                 stencil[tuple(face)] = 0.0
         grid = stencil.shape[:-1]
-        A = _stencil_matrix(stencil.reshape(ii.size, -1), grid)
-        w[ii], res = _solve_spd(A, grid, -(self.stiffness @ w)[ii])
+        A = _stencil_matrix(stencil.reshape(-1, 3 ** d), grid)
+        load = -(self.stiffness @ w).reshape(self._grid + columns)[self._inner]
+        x, res = _solve_spd(A, grid, load.reshape((-1,) + columns))
+        w.reshape(self._grid + columns)[self._inner] = x.reshape(load.shape)
         return BlockSolution(self, w, res)
 
     def solve_dirichlet(self, p) -> BlockSolution:
         """Minimizer of the block energy over l_p + (zero boundary values)."""
-        data = self.affine(p)[self.boundary_idx]
-        return self.solve_dirichlet_data(data)
+        return self.solve_dirichlet_data(self.affine(p)[self.boundary])
 
     def solve_neumann(self, q) -> BlockSolution:
         """Maximizer of (1/|cube|) int (q . grad w - 1/2 grad w . a grad w),
@@ -589,5 +582,5 @@ def harmonic_pool(field, cube, count, seed) -> list[np.ndarray]:
     seed + level may pass the top of the range)."""
     op = CubeOperator(field, cube)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed & (2 ** 64 - 1))))
-    data = rng.standard_normal((count, len(op.boundary_idx)))
+    data = rng.standard_normal((count, np.count_nonzero(op.boundary)))
     return list(np.ascontiguousarray(op.solve_dirichlet_data(data.T).values.T))

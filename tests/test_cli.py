@@ -355,6 +355,26 @@ def test_constants_budget_error_is_exit_4(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "CapacityError"
 
 
+def test_refused_allocation_is_exit_4(tmp_path, capsys, monkeypatch):
+    # numpy's MemoryError for a cube too large to allocate (3d level 8 asks
+    # for 18.5 TiB) is one JSON line and exit 4, like a budget error.
+    def generate(*args):
+        raise MemoryError("Unable to allocate 18.5 TiB")
+
+    monkeypatch.setattr(cgflow.cli, "generate", generate)
+    cfg = write_config(tmp_path, "c.json", {
+        "dimension": 3,
+        "ensemble": {"kind": "constant", "params": {"value": 1.0}},
+        "level": 8,
+    })
+    assert main(["coarse-grain", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "MemoryError",
+                               "message": "Unable to allocate 18.5 TiB",
+                               "exit_code": 4}
+
+
 def test_constants_constant_field(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {
         "dimension": 2,

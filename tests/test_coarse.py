@@ -192,19 +192,36 @@ def test_integral_bounds():
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(d=st.integers(1, 3), level=st.integers(1, 2), ensemble=_ENSEMBLES,
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_pair_order_bounds(d, level, ensemble, seed):
+       seed=st.integers(0, 2 ** 32 - 1),
+       pq=st.lists(st.integers(-1000, 1000).map(lambda k: k / 100),
+                   min_size=6, max_size=6))
+def test_pair_order_bounds(d, level, ensemble, seed, pq):
     # a_* <= a <= cell arithmetic mean and a_*^{-1} <= cell inverse mean,
     # each in the Loewner order to 1e-9 relative.
     f = generate(EnsembleSpec(*ensemble, seed), d, level)
     pair = coarse_pair(f, f.cube)
     cells = f.cells.reshape(-1, d, d)
-    arith = np.linalg.eigvalsh(cells.mean(axis=0))[-1]
-    harm = np.linalg.eigvalsh(np.linalg.inv(cells).mean(axis=0))[-1]
-    assert np.linalg.eigvalsh(pair.gap)[0] >= -1e-9 * np.linalg.eigvalsh(pair.a)[-1]
+    arith = cells.mean(axis=0)
+    harm = np.linalg.inv(cells).mean(axis=0)
+    a_max = np.linalg.eigvalsh(pair.a)[-1]
+    assert np.linalg.eigvalsh(pair.gap)[0] >= -1e-9 * a_max
     s1, s2 = integral_bound_slacks(f, f.cube)
-    assert s1 >= -1e-9 * arith
-    assert s2 >= -1e-9 * harm
+    assert s1 >= -1e-9 * np.linalg.eigvalsh(arith)[-1]
+    assert s2 >= -1e-9 * np.linalg.eigvalsh(harm)[-1]
+    # J(p, q) >= 0 and the level-0 subadditivity defect >= 0 at the drawn
+    # (p, q), to 1e-9 of the cells' mean quadratic terms, which bound J's.
+    p, q = np.array(pq[:d]), np.array(pq[3:3 + d])
+    scale = 0.5 * (p @ arith @ p + q @ harm @ q)
+    assert j_functional(f, f.cube, p, q) >= -1e-9 * scale
+    assert subadditivity_defect(f, f.cube, 0, p, q) >= -1e-9 * scale
+    # The response- and flux-map bounds for one a-harmonic w, with the gap
+    # and J known to 1e-9 of their scales as above.
+    w = harmonic_pool(f, f.cube, 1, seed=seed)[0]
+    two_energy = 2.0 * CubeOperator(f, f.cube).energy(w)
+    lhs, rhs = response_defect(f, f.cube, w)
+    assert lhs <= rhs + np.sqrt(1e-9 * a_max * two_energy)
+    lhs, rhs = fluxmap_sides(f, f.cube, w, p, q)
+    assert lhs <= rhs + np.sqrt(2e-9 * scale * two_energy)
 
 
 def test_j_is_nonnegative_and_zero_at_optimum():

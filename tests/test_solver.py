@@ -1,4 +1,7 @@
+import gc
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,7 +201,7 @@ def test_stacked_solves_equal_column_solves(solver_settings, banded_calls, backe
     rng = np.random.default_rng(14)
     slopes = rng.standard_normal((2, 3))
     slopes[:, 1] = 0.0
-    data = rng.standard_normal((len(op.boundary_idx), 3))
+    data = rng.standard_normal((np.count_nonzero(op.boundary), 3))
     for solve, block in ((op.solve_dirichlet, slopes), (op.solve_neumann, slopes),
                          (op.solve_dirichlet_data, data)):
         stacked = solve(block)
@@ -232,7 +235,7 @@ def test_block_diagonal_solves_equal_per_cube_solves(solver_settings, banded_cal
     assert op.blocks == 9 and op.n_nodes == 9 * 16
     np.testing.assert_array_equal(op.stiffness.toarray(), scipy.linalg.block_diag(
         *[s.stiffness.toarray() for s in subs]))
-    data = np.random.default_rng(17).standard_normal((len(op.boundary_idx), 2))
+    data = np.random.default_rng(17).standard_normal((np.count_nonzero(op.boundary), 2))
     per_block = data.reshape(9, -1, 2)
     eye = np.eye(2)
     solves = [(op.solve_dirichlet(eye), [s.solve_dirichlet(eye) for s in subs]),
@@ -341,12 +344,12 @@ def test_banded_solves_match_dense_oracle(banded_calls, field, level):
     d = f.dimension
     op = CubeOperator(f, f.cube, level)
     K = op.stiffness.toarray()
-    ii = op.interior_idx
+    inner = ~op.boundary
     rng = np.random.default_rng(16)
-    data = rng.standard_normal((len(op.boundary_idx), 2))
+    data = rng.standard_normal((np.count_nonzero(op.boundary), 2))
     dirichlet = np.zeros((op.n_nodes, 2))
-    dirichlet[op.boundary_idx] = data
-    dirichlet[ii] = np.linalg.solve(K[np.ix_(ii, ii)], -(K @ dirichlet)[ii])
+    dirichlet[op.boundary] = data
+    dirichlet[inner] = np.linalg.solve(K[np.ix_(inner, inner)], -(K @ dirichlet)[inner])
     fluxes = rng.standard_normal((d, 2))
     size = op.n_nodes // op.blocks
     free = np.arange(op.n_nodes) % size > 0
@@ -405,6 +408,30 @@ def test_pcg_meets_its_tolerance_or_raises(solver_settings, seed):
             assert sol.residual <= settings.tolerance
 
 
+def corner_node_index(op):
+    """(cells, 2^d) node index of each cell corner of `op`: cells grouped by
+    subcube, each group in C order, and corners in itertools.product order."""
+    d = op.dimension
+    side = op._grid[1] - 1
+    cell = np.indices((op.blocks,) + (side,) * d).reshape(d + 1, -1, 1)
+    corners = np.array(list(itertools.product((0, 1), repeat=d)))
+    return np.ravel_multi_index(
+        (cell[0],) + tuple(cell[1 + a] + corners[:, a] for a in range(d)),
+        (op.blocks,) + (side + 1,) * d)
+
+
+def test_cell_gradients_match_corner_gather():
+    # The stacked corner slices give each cell's average gradient exactly as
+    # gathering its corner values does.
+    for f, level in ((lognormal_field(2, 2, seed=21), 1),
+                     (lognormal_field(3, 2, seed=21), None),
+                     (lognormal_field(1, 3, seed=21), 2)):
+        op = CubeOperator(f, f.cube, level)
+        w = np.random.default_rng(21).standard_normal(op.n_nodes)
+        np.testing.assert_array_equal(op.cell_gradients(w),
+                                      w[corner_node_index(op)] @ op._avg_grad)
+
+
 def test_flux_load_matches_per_cell_accumulation():
     # The per-corner slice-adds give each node the loads of its cells, as
     # gathering every cell's corner loads and summing them per node does.
@@ -415,7 +442,7 @@ def test_flux_load_matches_per_cell_accumulation():
         d = f.dimension
         fluxes = np.random.default_rng(20).standard_normal((d, 3))
         per_corner = op._avg_grad @ fluxes
-        index = op.cell_nodes[..., None] * 3 + np.arange(3)
+        index = corner_node_index(op)[..., None] * 3 + np.arange(3)
         oracle = np.bincount(index.ravel(),
                              weights=np.broadcast_to(per_corner, index.shape).ravel(),
                              minlength=op.n_nodes * 3).reshape(op.n_nodes, 3)
@@ -430,6 +457,24 @@ def two_phase_field(d, m, contrast, seed):
     spec = EnsembleSpec("two_phase_iid",
                         {"prob_hi": 0.5, "sigma_hi": sigma, "sigma_lo": 1 / sigma}, seed)
     return generate(spec, d, m)
+
+
+@pytest.mark.parametrize("d, m, bound", [(2, 5, 80), (3, 3, 224)])
+def test_operator_memory_per_node(d, m, bound):
+    # A one-cube operator built with warm lattice caches keeps its stencil
+    # (3^d floats per node), its boundary mask (one byte per node) and no
+    # per-node or per-cell index array.
+    f = two_phase_field(d, m, 100, seed=1)
+    CubeOperator(f, f.cube)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        op = CubeOperator(f, f.cube)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / op.n_nodes <= bound
 
 
 @pytest.mark.parametrize("d, m, level", [(2, 2, None), (3, 2, None),
