@@ -182,8 +182,8 @@ def _two_phase_for_contrast(theta: float, seed: int) -> EnsembleSpec:
 
 def cmd_flow(config: dict, out_dir, threads: int, seed_override) -> int:
     allowed = {
-        "dimension", "ensemble", "max_level", "samples", "symmetrize",
-        "method", "pigeonhole", "find_scale", "sweep",
+        "dimension", "ensemble", "max_level", "samples", "method",
+        "pigeonhole", "find_scale", "sweep",
     }
     _check_keys(config, allowed, {"dimension", "max_level", "samples"}, "config")
     if ("sweep" in config) == ("ensemble" in config):
@@ -191,9 +191,6 @@ def cmd_flow(config: dict, out_dir, threads: int, seed_override) -> int:
     d = _dimension(config)
     max_level = _positive_int(config, "max_level")
     samples = _positive_int(config, "samples", minimum=2)
-    symmetrize = config.get("symmetrize", True)
-    if not isinstance(symmetrize, bool):
-        raise ConfigError("symmetrize must be a boolean")
     method = config.get("method", "solver")
     if method not in ("solver", "oracle"):
         raise ConfigError(f"method must be 'solver' or 'oracle', got {method!r}")
@@ -209,8 +206,8 @@ def cmd_flow(config: dict, out_dir, threads: int, seed_override) -> int:
         seed = seed_override if seed_override is not None else 0
         for theta in thetas:
             spec = _two_phase_for_contrast(float(theta), seed)
-            record = flow_mod.run_flow(spec, d, max_level, samples, symmetrize,
-                                       method, workers=threads)
+            record = flow_mod.run_flow(spec, d, max_level, samples, method,
+                                       workers=threads)
             scale = flow_mod.scale_from_record(record, sigma)
             _emit(out_dir, f"flow_theta_{theta}.csv", record.to_csv())
             n_hat = "not-reached" if not scale.reached else str(scale.level)
@@ -219,7 +216,7 @@ def cmd_flow(config: dict, out_dir, threads: int, seed_override) -> int:
         return EXIT_OK
 
     spec = _ensemble(config, seed_override)
-    record = flow_mod.run_flow(spec, d, max_level, samples, symmetrize, method,
+    record = flow_mod.run_flow(spec, d, max_level, samples, method,
                                workers=threads)
     payload = record.to_json_dict()
     if "pigeonhole" in config:
@@ -270,7 +267,7 @@ def cmd_constants(config: dict, out_dir, threads: int, seed_override) -> int:
     if "abar_samples" in config:
         n_ab = _positive_int(config, "abar_samples", minimum=2)
         est = flow_mod.estimate_annealed(spec, d, level, n_ab, workers=threads)
-        abar = est.abar
+        abar = est.abar * np.eye(d)
     else:
         abar = lad.a_all[level][0]
     payload = {
@@ -485,10 +482,34 @@ def _reject_constant(name: str):
     raise ConfigError(f"{name} is not a JSON number")
 
 
+def _not_a_double(literal: str):
+    if len(literal) > 24:
+        literal = f"{literal[:20]}... ({len(literal)} characters)"
+    return ConfigError(f"number {literal} is not a finite double")
+
+
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        raise _not_a_double(literal)
+    return value
+
+
+def _finite_int(literal: str) -> int:
+    # An integer stays an int, but only within the range of a double.
+    try:
+        value = int(literal)
+        float(value)
+    except (ValueError, OverflowError):
+        raise _not_a_double(literal) from None
+    return value
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            config = json.load(fh, parse_constant=_reject_constant)
+            config = json.load(fh, parse_constant=_reject_constant,
+                               parse_float=_finite_float, parse_int=_finite_int)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

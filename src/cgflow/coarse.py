@@ -8,6 +8,7 @@ pair plus quadratures of block solutions.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -238,14 +239,19 @@ def second_variation_sides(field, cube, w, p, q, v_solution) -> tuple[float, flo
 
 def fluxmap_sides(field, cube, w, p, q) -> tuple[float, float]:
     """Cauchy-Schwarz flux-map bound:
-    |mean(p.a grad w - q.grad w)| <= (2J)^(1/2) (mean grad.a grad)^(1/2)."""
+    |mean(p.a grad w - q.grad w)| <= (2J)^(1/2) (mean grad.a grad)^(1/2).
+    Both sides are linear in (p, q).  They are formed at (p, q) / 2^e, with
+    2^e the binary order of max(|p|, |q|), and scaled back: J, quadratic in
+    (p, q), does not underflow, and a power of two changes no other bit."""
     op = CubeOperator(field, cube)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
+    e = math.frexp(float(max(np.abs(p).max(), np.abs(q).max())))[1]
+    p, q = np.ldexp(p, -e), np.ldexp(q, -e)
     lhs = abs(float(p @ op.mean_flux(w) - q @ op.mean_gradient(w)))
     j = max(j_functional(field, cube, p, q), 0.0)
     rhs = float(np.sqrt(2.0 * j) * np.sqrt(2.0 * op.energy(w)))
-    return lhs, rhs
+    return math.ldexp(lhs, e), math.ldexp(rhs, e)
 
 
 def integral_bound_slacks(field, cube) -> tuple[float, float]:

@@ -2,9 +2,9 @@
 
 Per sample, one coefficient field is drawn at the top level and the pair is
 computed on the nested lower-corner cube at every level, so per-scale
-estimates share samples (positively correlated, each unbiased).  Estimates
-are optionally symmetrized over the cube point group, after which matrices
-are treated as scalars (trace/d) for the contrast arithmetic.
+estimates share samples (positively correlated, each unbiased).  Each sample
+records tr a/d and tr a_*^{-1}/d: the cube-group averages of its pairs, which
+are all the contrast arithmetic uses.
 """
 
 from __future__ import annotations
@@ -63,78 +63,57 @@ def _one_blas_thread():
             setter(1)
 
 
-def _symmetrize(mat: np.ndarray) -> np.ndarray:
-    """Average R M R^T over the cube point group.  For symmetric M the average
-    commutes with every signed permutation, so by Schur's lemma it is
-    trace(M)/d times the identity."""
-    d = mat.shape[0]
-    return np.trace(mat) / d * np.eye(d)
-
-
 def _sample_pairs(spec: EnsembleSpec, dimension: int, levels: tuple[int, ...],
-                  symmetrize: bool, method: str, sample_index: int):
-    """One Monte Carlo sample: (a, a_*^{-1}) on the lower-corner cube at each
-    requested level.  Returns None if a solve fails to converge or yields an
-    inconsistent pair; every other error propagates."""
-    top = max(levels)
+                  method: str, sample_index: int):
+    """One Monte Carlo sample: tr a/d and tr a_*^{-1}/d on the lower-corner
+    cube at each requested level, as a (2, levels) array.  For symmetric M
+    the average of R M R^T over the cube point group commutes with every
+    signed permutation, so by Schur's lemma it is tr(M)/d times the identity:
+    the traces are the sample's cube-group averages.  Returns None if a solve
+    fails to converge or yields an inconsistent pair; every other error
+    propagates."""
     sample_spec = spec.with_seed(spec.seed + sample_index)
-    field = generate(sample_spec, dimension, top)
-    a_mats, ainv_mats = [], []
+    field = generate(sample_spec, dimension, max(levels))
+    traces = np.empty((2, len(levels)))
     try:
-        for n in levels:
+        for i, n in enumerate(levels):
             cube = TriadicCube(n, (0,) * dimension)
             if method == "oracle":
-                cells = field.cells_in(cube)[:, 0, 0]
-                ainv = float(np.mean(1.0 / cells))
-                a = np.array([[1.0 / ainv]])
-                ainv = np.array([[ainv]])
+                h = float(np.mean(1.0 / field.cells_in(cube)[:, 0, 0]))
+                traces[:, i] = 1.0 / h, h
             else:
                 pair = coarse_pair(field, cube)
-                a, ainv = pair.a, pair.a_star_inv
-            if symmetrize:
-                a = _symmetrize(a)
-                ainv = _symmetrize(ainv)
-            a_mats.append(a)
-            ainv_mats.append(ainv)
+                traces[:, i] = (np.trace(pair.a) / dimension,
+                                np.trace(pair.a_star_inv) / dimension)
     except (ConvergenceError, ConsistencyError):
         return None
-    return np.array(a_mats), np.array(ainv_mats)
+    return traces
 
 
 @dataclass
 class ScaleEstimate:
-    """Annealed estimates at one scale, with elementwise standard errors."""
+    """Annealed estimates at one scale: the sample means of tr a/d and
+    tr a_*^{-1}/d with their standard errors, and theta, their product."""
 
     level: int
     samples: int
-    abar: np.ndarray
-    abar_se: np.ndarray
-    astar_inv: np.ndarray
-    astar_inv_se: np.ndarray
+    abar: float
+    abar_se: float
+    astar_inv: float
+    astar_inv_se: float
     theta: float
     theta_se: float
     tau_prev: float = math.nan
     tau_prev_se: float = math.nan
 
-    @property
-    def abar_scalar(self) -> float:
-        return float(np.trace(self.abar) / self.abar.shape[0])
-
-    @property
-    def astar_inv_scalar(self) -> float:
-        return float(np.trace(self.astar_inv) / self.astar_inv.shape[0])
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "level": self.level,
-            "samples": self.samples,
-            "abar": [float(x) for x in self.abar.ravel()],
-            "abar_se": [float(x) for x in self.abar_se.ravel()],
-            "astar_inv": [float(x) for x in self.astar_inv.ravel()],
-            "astar_inv_se": [float(x) for x in self.astar_inv_se.ravel()],
-            "theta": float(self.theta),
-            "theta_se": float(self.theta_se),
-        }
+    def to_json_dict(self, dimension: int) -> dict:
+        """The estimates as the isotropic d x d matrices x I they stand for."""
+        eye = np.eye(dimension)
+        out = {"level": self.level, "samples": self.samples}
+        for key in ("abar", "abar_se", "astar_inv", "astar_inv_se"):
+            out[key] = [float(x) for x in (getattr(self, key) * eye).ravel()]
+        out["theta"] = float(self.theta)
+        out["theta_se"] = float(self.theta_se)
         if not math.isnan(self.tau_prev):
             out["tau_prev"] = float(self.tau_prev)
             out["tau_prev_se"] = float(self.tau_prev_se)
@@ -150,14 +129,14 @@ _CSV_COLUMNS = (
 @dataclass
 class FlowRecord:
     """Per-scale annealed estimates for levels 0..max_level plus the raw
-    per-sample matrices (needed for the correlated differences in
+    per-sample traces (needed for the correlated differences in
     tau_from_record)."""
 
     dimension: int
     max_level: int
     spec: EnsembleSpec
     estimates: list[ScaleEstimate]
-    a_samples: np.ndarray = dc_field(repr=False, default=None)      # (N, L+1, d, d)
+    a_samples: np.ndarray = dc_field(repr=False, default=None)      # (N, L+1)
     astar_inv_samples: np.ndarray = dc_field(repr=False, default=None)
     aborted: int = 0
 
@@ -166,8 +145,8 @@ class FlowRecord:
         return self.estimates[0].samples
 
     def scalars(self):
-        a = np.array([e.abar_scalar for e in self.estimates])
-        ainv = np.array([e.astar_inv_scalar for e in self.estimates])
+        a = np.array([e.abar for e in self.estimates])
+        ainv = np.array([e.astar_inv for e in self.estimates])
         return a, ainv
 
     def thetas(self) -> np.ndarray:
@@ -180,10 +159,10 @@ class FlowRecord:
             row = [
                 str(e.level),
                 str(e.samples),
-                repr(e.abar_scalar),
-                repr(float(np.trace(e.abar_se) / e.abar.shape[0])),
-                repr(e.astar_inv_scalar),
-                repr(float(np.trace(e.astar_inv_se) / e.abar.shape[0])),
+                repr(float(e.abar)),
+                repr(float(e.abar_se)),
+                repr(float(e.astar_inv)),
+                repr(float(e.astar_inv_se)),
                 repr(float(e.theta)),
                 repr(float(e.theta_se)),
                 "" if math.isnan(e.tau_prev) else repr(float(e.tau_prev)),
@@ -198,62 +177,47 @@ class FlowRecord:
             "max_level": self.max_level,
             "ensemble": self.spec.to_json_dict(),
             "aborted_samples": self.aborted,
-            "scales": [e.to_json_dict() for e in self.estimates],
+            "scales": [e.to_json_dict(self.dimension) for e in self.estimates],
         }
 
 
-def _theta_with_se(a_traces: np.ndarray, ainv_traces: np.ndarray):
-    """Product of the two sample means with a delta-method standard error."""
-    n = len(a_traces)
-    x, y = a_traces.mean(), ainv_traces.mean()
-    theta = x * y
-    if n < 2:
-        return float(theta), 0.0
-    cov = np.cov(a_traces, ainv_traces, ddof=1)
-    var = (y * y * cov[0, 0] + x * x * cov[1, 1] + 2 * x * y * cov[0, 1]) / n
-    return float(theta), float(math.sqrt(max(var, 0.0)))
-
-
 def _aggregate(spec, dimension, levels, results, aborted) -> FlowRecord:
-    d = dimension
-    a_stack = np.array([r[0] for r in results])      # (N, L, d, d)
-    ainv_stack = np.array([r[1] for r in results])
-    n = a_stack.shape[0]
+    # The estimates reduce the (N, levels) arrays over the sample axis, row by
+    # row; theta multiplies the means of each level's column, which numpy sums
+    # pairwise.  The two orders can differ in the last bit.
+    a_s = np.array([r[0] for r in results])
+    ainv_s = np.array([r[1] for r in results])
+    n = a_s.shape[0]
+    abar, ainv_bar = a_s.mean(axis=0), ainv_s.mean(axis=0)
+    abar_se = a_s.std(axis=0, ddof=1) / math.sqrt(n)
+    ainv_se = ainv_s.std(axis=0, ddof=1) / math.sqrt(n)
     estimates = []
     for li, level in enumerate(levels):
-        a_s = a_stack[:, li]
-        ainv_s = ainv_stack[:, li]
-        abar = a_s.mean(axis=0)
-        ainv_bar = ainv_s.mean(axis=0)
-        if n >= 2:
-            abar_se = a_s.std(axis=0, ddof=1) / math.sqrt(n)
-            ainv_se = ainv_s.std(axis=0, ddof=1) / math.sqrt(n)
-        else:
-            abar_se = np.zeros((d, d))
-            ainv_se = np.zeros((d, d))
-        tr_a = np.trace(a_s, axis1=1, axis2=2) / d
-        tr_ainv = np.trace(ainv_s, axis1=1, axis2=2) / d
-        theta, theta_se = _theta_with_se(tr_a, tr_ainv)
-        estimates.append(ScaleEstimate(level, n, abar, abar_se, ainv_bar,
-                                       ainv_se, theta, theta_se))
-    record = FlowRecord(dimension, max(levels), spec, estimates,
-                        a_stack, ainv_stack, aborted)
+        # Product of the two sample means with a delta-method standard error.
+        a_li, ainv_li = a_s[:, li], ainv_s[:, li]
+        x, y = a_li.mean(), ainv_li.mean()
+        cov = np.cov(a_li, ainv_li, ddof=1)
+        var = (y * y * cov[0, 0] + x * x * cov[1, 1] + 2 * x * y * cov[0, 1]) / n
+        estimates.append(ScaleEstimate(
+            level, n, float(abar[li]), float(abar_se[li]), float(ainv_bar[li]),
+            float(ainv_se[li]), float(x * y), math.sqrt(max(var, 0.0))))
+    record = FlowRecord(dimension, max(levels), spec, estimates, a_s, ainv_s,
+                        aborted)
     # Additivity defect between consecutive recorded levels at (p, q) =
     # (e_1, e_1); per-sample values give the correlated SE.
-    e1 = np.eye(d)[0]
+    e1 = np.eye(dimension)[0]
     for li in range(1, len(levels)):
         estimates[li].tau_prev, estimates[li].tau_prev_se = tau_from_record(
             record, li, li - 1, e1, e1)
     return record
 
 
-def _run_samples(spec, dimension, levels, samples, symmetrize, method, workers):
+def _run_samples(spec, dimension, levels, samples, method, workers):
     if samples < 2:
         raise ParameterError("need at least 2 Monte Carlo samples")
     if method == "oracle" and dimension != 1:
         raise ParameterError("the harmonic-mean oracle needs d = 1")
-    sample = functools.partial(_sample_pairs, spec, dimension, levels,
-                               symmetrize, method)
+    sample = functools.partial(_sample_pairs, spec, dimension, levels, method)
     # A fork-started pool starts every worker up front: one per sample at most.
     workers = min(workers or 1, samples)
     if workers > 1:
@@ -275,25 +239,24 @@ def _run_samples(spec, dimension, levels, samples, symmetrize, method, workers):
 
 
 def estimate_annealed(spec: EnsembleSpec, dimension: int, level_n: int,
-                      samples: int, symmetrize=True, method="solver",
-                      workers=1) -> ScaleEstimate:
-    """Sample mean and standard error of (a(cube), a_*^{-1}(cube)) at one
-    level; per-sample fields use derived seeds seed + i."""
+                      samples: int, method="solver", workers=1) -> ScaleEstimate:
+    """Sample mean and standard error of (tr a/d, tr a_*^{-1}/d) on the cube
+    at one level; per-sample fields use derived seeds seed + i."""
     results, aborted = _run_samples(
-        spec, dimension, (level_n,), samples, symmetrize, method, workers,
+        spec, dimension, (level_n,), samples, method, workers,
     )
     record = _aggregate(spec, dimension, (level_n,), results, aborted)
     return record.estimates[0]
 
 
 def run_flow(spec: EnsembleSpec, dimension: int, max_level: int, samples: int,
-             symmetrize=True, method="solver", workers=1) -> FlowRecord:
+             method="solver", workers=1) -> FlowRecord:
     """Annealed flow over levels 0..max_level with per-level sample reuse."""
     if max_level < 0:
         raise ParameterError("max_level must be >= 0")
     levels = tuple(range(max_level + 1))
     results, aborted = _run_samples(
-        spec, dimension, levels, samples, symmetrize, method, workers,
+        spec, dimension, levels, samples, method, workers,
     )
     return _aggregate(spec, dimension, levels, results, aborted)
 
@@ -305,9 +268,8 @@ def synthetic_record(abar_scalars, astar_inv_scalars) -> FlowRecord:
     if a.shape != b.shape or a.ndim != 1 or len(a) < 1:
         raise ParameterError("need two equal-length scalar sequences")
     spec = EnsembleSpec("constant", {"value": 1.0})
-    z = np.zeros((1, 1))
     ests = [
-        ScaleEstimate(n, 2, np.array([[a[n]]]), z, np.array([[b[n]]]), z,
+        ScaleEstimate(n, 2, float(a[n]), 0.0, float(b[n]), 0.0,
                       float(a[n] * b[n]), 0.0)
         for n in range(len(a))
     ]
@@ -412,18 +374,16 @@ def scale_from_record(record: FlowRecord, sigma: float) -> HomogenizationScale:
 
 def tau_from_record(record: FlowRecord, n: int, k: int, p, q):
     """Expected additivity defect between levels k < n at directions (p, q),
-    from the pooled matrix differences; SE from per-sample linearizations."""
+    1/2 |p|^2 (a_k - a_n) + 1/2 |q|^2 (a_*^{-1}_k - a_*^{-1}_n) per sample in
+    the recorded traces; SE from the per-sample values."""
     if not (0 <= k < n <= record.max_level):
         raise ParameterError(f"need 0 <= k < n <= {record.max_level}")
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    da = record.a_samples[:, k] - record.a_samples[:, n]
-    dainv = record.astar_inv_samples[:, k] - record.astar_inv_samples[:, n]
-    vals = 0.5 * np.einsum("i,sij,j->s", p, da, p) \
-        + 0.5 * np.einsum("i,sij,j->s", q, dainv, q)
-    m = len(vals)
-    se = float(vals.std(ddof=1) / math.sqrt(m)) if m >= 2 else 0.0
-    return float(vals.mean()), se
+    a, ainv = record.a_samples, record.astar_inv_samples
+    vals = 0.5 * (p @ p) * (a[:, k] - a[:, n]) \
+        + 0.5 * (q @ q) * (ainv[:, k] - ainv[:, n])
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
 
 def contraction_diagnostics(record: FlowRecord, spec: EnsembleSpec,
@@ -439,8 +399,8 @@ def contraction_diagnostics(record: FlowRecord, spec: EnsembleSpec,
         )
     n = sel.level
     est = record.estimates[n]
-    abar_s = est.abar_scalar
-    astar_s = 1.0 / est.astar_inv_scalar
+    abar_s = est.abar
+    astar_s = 1.0 / est.astar_inv
     m0 = math.sqrt(abar_s * astar_s)
     e1 = np.zeros(dimension)
     e1[0] = 1.0

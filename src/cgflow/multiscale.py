@@ -106,6 +106,13 @@ def _scale_sum(a, u: float, q: float, min_level=0) -> float:
     return float(total ** (1.0 / q))
 
 
+def _finite_seminorm(value: float) -> float:
+    # Finite data near the top of the float range overflow in the powers.
+    if not math.isfinite(value):
+        raise ParameterError(f"the Besov seminorm is not finite ({value!r})")
+    return value
+
+
 def besov_ring(f, dimension: int, s: float, p: float, q: float,
                min_level=None) -> float:
     """Explicit negative seminorm: aggregated block averages over the aligned
@@ -133,7 +140,7 @@ def besov_ring(f, dimension: int, s: float, p: float, q: float,
             inner.append(float(np.mean(norms ** p) ** (1.0 / p)))
         if k < m:
             g = _coarsen_mean(g, dimension)
-    return _scale_sum(inner, s, q, min_level)
+    return _finite_seminorm(_scale_sum(inner, s, q, min_level))
 
 
 def _window_oscillation(g: np.ndarray, dimension: int, side: int, step: int,
@@ -181,7 +188,7 @@ def besov_positive(g, dimension: int, s: float, p: float, q: float) -> float:
     levels = [(refined, 3, 1)] + [(g, 3 ** k, 3 ** (k - 1)) for k in range(1, m + 1)]
     inner = [_window_oscillation(grid, dimension, side, step, p) ** (1.0 / p)
              for grid, side, step in levels]
-    return _scale_sum(inner, -s, q)
+    return _finite_seminorm(_scale_sum(inner, -s, q))
 
 
 @dataclass

@@ -65,6 +65,17 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "bogus" in err["message"]
 
 
+def test_flow_symmetrize_key_is_unknown(tmp_path, capsys):
+    # A flow always records the cube-group averages; no key switches them off.
+    cfg = write_config(tmp_path, "f.json", dict(FLOW_1D, symmetrize=True))
+    assert main(["flow", "--config", cfg]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ConfigError"
+    assert "symmetrize" in err["message"]
+
+
 def test_bad_exponent_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {
         "dimension": 1,
@@ -267,6 +278,56 @@ def test_bad_integer_settings_are_config_errors(tmp_path, capsys, command, confi
     assert key in err["message"]
 
 
+def _with_literal(config, literal, path=()):
+    """The config as JSON text with the value at `path` written as `literal`,
+    which json.dumps cannot write."""
+    config = json.loads(json.dumps(config))
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "LITERAL"
+    return json.dumps(config).replace('"LITERAL"', literal)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("besov", _with_literal(BESOV_RING, "1e999", ("q",))),
+    ("besov", _with_literal(besov_data(level=1, cells=[]), "[1e999, 1.0, 2.0]",
+                            ("data", "cells"))),
+    ("besov", _with_literal(BESOV_RING, "9" * 400, ("p",))),
+    ("flow", _with_literal(FLOW_1D, "9" * 400, ("ensemble", "params", "sigma_hi"))),
+    ("flow", _with_literal(FLOW_1D, "-1e400", ("ensemble", "params", "sigma_lo"))),
+])
+def test_numbers_beyond_a_double_are_config_errors(tmp_path, capsys, command, text):
+    # Such literals would load as inf, or as ints that no float holds.
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert main([command, "--config", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ConfigError"
+    assert "not a finite double" in err["message"]
+
+
+@pytest.mark.parametrize("kind", ["ring", "positive"])
+def test_besov_overflow_is_the_only_stderr_output(tmp_path, kind):
+    # Finite cells near the float range overflow in the seminorm's powers.
+    cfg = write_config(tmp_path, "b.json", {
+        "dimension": 1, "s": 0.25, "p": 2, "q": 1,
+        "data": {"kind": kind, "level": 1, "cells": [1e300, -1e300, 1e300]}})
+    src = os.path.dirname(os.path.dirname(cgflow.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cgflow.cli", "besov", "--config", cfg],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    err = json.loads(proc.stderr)
+    assert err["error"] == "ConfigError"
+    assert "not finite" in err["message"]
+
+
 # Cells near the float range overflow in exp, and a pair's Gram matrices
 # overflow in the stiffness products; the command reports that as its one
 # classified error, with no RuntimeWarning.
@@ -343,6 +404,34 @@ def test_flow_output_bytes_do_not_depend_on_threads(tmp_path, capsys):
         assert (tmp_path / "1" / name).read_bytes() == (
             tmp_path / "2" / name
         ).read_bytes()
+
+
+def test_flow_3d(tmp_path, capsys):
+    cfg = write_config(tmp_path, "f.json", {
+        "dimension": 3,
+        "ensemble": {
+            "kind": "two_phase_iid",
+            "params": {"prob_hi": 0.5, "sigma_hi": 10.0, "sigma_lo": 0.1},
+            "seed": 1,
+        },
+        "max_level": 2, "samples": 4,
+    })
+    for threads in ("1", "2"):
+        assert main(["flow", "--config", cfg, "--out", str(tmp_path / threads),
+                     "--threads", threads]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "1" / "flow.csv").read_bytes() == (
+        tmp_path / "2" / "flow.csv"
+    ).read_bytes()
+    doc = json.loads((tmp_path / "1" / "flow.json").read_text())
+    assert doc["aborted_samples"] == 0
+    assert len(doc["scales"]) == 3
+    for sc in doc["scales"]:
+        # a_* <= a per sample puts the product of the mean traces above 1.
+        assert sc["theta"] >= 1.0
+        for key in ("abar", "abar_se", "astar_inv", "astar_inv_se"):
+            mat = np.array(sc[key]).reshape(3, 3)
+            np.testing.assert_array_equal(mat, mat[0, 0] * np.eye(3))
 
 
 def test_constants_budget_error_is_exit_4(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import gc
+import math
 import tracemalloc
 import weakref
 
@@ -303,6 +304,23 @@ def test_flux_map_bound():
     for w in harmonic_samples(f):
         lhs, rhs = fluxmap_sides(f, f.cube, w, p, q)
         assert lhs <= rhs * (1.0 + 1e-8) + 1e-12
+
+
+def test_flux_map_bound_at_tiny_directions():
+    # J = 1/2 a p^2 would underflow to 0 at |p| ~ 1e-163 and leave the
+    # right-hand side 0 below a nonzero left-hand side.
+    f = generate(EnsembleSpec("constant", {"value": 2.0}), 1, 1)
+    w = harmonic_pool(f, f.cube, 1, seed=0)[0]
+    lhs, rhs = fluxmap_sides(f, f.cube, w, [1.36e-163], [0.0])
+    assert lhs > 0.0
+    assert lhs <= rhs * (1.0 + 1e-12)
+    # Both sides are linear in (p, q): a power of two moves them exactly.
+    g = lognormal_field(2, 2, seed=43)
+    p, q = np.random.default_rng(9).standard_normal((2, 2))
+    w = harmonic_samples(g)[0]
+    sides = fluxmap_sides(g, g.cube, w, p, q)
+    tiny = fluxmap_sides(g, g.cube, w, np.ldexp(p, -600), np.ldexp(q, -600))
+    assert tiny == tuple(math.ldexp(x, -600) for x in sides)
 
 
 def test_energy_maps_bound_block_energy():

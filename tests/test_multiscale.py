@@ -154,6 +154,16 @@ def test_ring_parameter_validation():
             besov_ring(np.ones((3,)), 1, 0.5, p, q)
 
 
+def test_seminorms_that_overflow_are_parameter_errors():
+    # Finite data near the top of the float range overflow in |f|^p.
+    big = np.array([1e300, -1e300, 1e300])
+    with np.errstate(all="ignore"):
+        with pytest.raises(ParameterError, match="not finite"):
+            besov_ring(big, 1, 0.5, 2.0, 1.0)
+        with pytest.raises(ParameterError, match="not finite"):
+            besov_positive(big, 1, 0.25, 2.0, 1.0)
+
+
 # -- besov_positive ------------------------------------------------------
 
 
