@@ -196,6 +196,10 @@ def cmd_flow(config: dict, out_dir, threads: int, seed_override) -> int:
         raise ConfigError(f"method must be 'solver' or 'oracle', got {method!r}")
 
     if "sweep" in config:
+        for key in ("pigeonhole", "find_scale"):
+            if key in config:
+                raise ConfigError(f"`{key}` does not apply to a sweep, which takes "
+                                  "its sigma from `sweep.sigma`")
         sweep = config["sweep"]
         _check_keys(sweep, {"thetas", "sigma"}, {"thetas", "sigma"}, "sweep")
         sigma = _number(sweep, "sigma")

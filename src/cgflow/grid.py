@@ -9,6 +9,8 @@ multiple of 3**level).  All fields are immutable after construction.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -132,6 +134,13 @@ class EnsembleSpec:
         if missing:
             raise ParameterError(f"missing parameters for {self.kind}: {sorted(missing)}")
         p = self.params
+        for key, value in p.items():
+            if key != "cells" and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Real)
+                                   or not math.isfinite(value)):
+                raise ParameterError(
+                    f"{self.kind} parameter {key} must be a finite real number, "
+                    f"got {value!r}")
         if self.kind == "constant" and not p["value"] > 0:
             raise ParameterError("constant value must be positive")
         if self.kind in ("two_phase_iid", "laminate_1d"):

@@ -287,12 +287,12 @@ def multiscale_defect(lad: MultiscaleLadder, abar, s: float, q: float,
 
 
 def cg_poincare_check(field: CoefficientField, cube: TriadicCube, u: np.ndarray,
-                      s: float, q: float, flux=True) -> dict:
+                      s: float, q: float) -> dict:
     """Both lines of the coarse-grained Poincare inequality with the explicit
     constants c_{sq}^{-1/q} lambda^{-1/2} and c_{sq}^{-1/q} Lambda^{1/2}.
 
     The gradient line holds for every discrete function; the flux line needs
-    u discrete a-harmonic."""
+    u discrete a-harmonic (otherwise PreconditionError)."""
     op = CubeOperator(field, cube)
     lad = ladder(field, cube)
     exps = ExponentSet(s, s, q)
@@ -305,8 +305,11 @@ def cg_poincare_check(field: CoefficientField, cube: TriadicCube, u: np.ndarray,
     grads = op.cell_gradients(u).reshape(grid_shape)
     lhs_grad = 3.0 ** (-s * m) * besov_ring(grads, field.dimension, s, 2.0, q)
     rhs_grad = cfac * lam ** -0.5 * energy_norm
-
-    report = {
+    op.require_harmonic(u)
+    fluxes = op.cell_fluxes(u).reshape(grid_shape)
+    lhs_flux = 3.0 ** (-s * m) * besov_ring(fluxes, field.dimension, s, 2.0, q)
+    rhs_flux = cfac * Lambda ** 0.5 * energy_norm
+    return {
         "s": s,
         "q": q,
         "lambda": lam,
@@ -314,18 +317,10 @@ def cg_poincare_check(field: CoefficientField, cube: TriadicCube, u: np.ndarray,
         "lhs_gradient": float(lhs_grad),
         "rhs_gradient": float(rhs_grad),
         "gradient_ok": bool(lhs_grad <= rhs_grad * (1.0 + 1e-7) + 1e-300),
+        "lhs_flux": float(lhs_flux),
+        "rhs_flux": float(rhs_flux),
+        "flux_ok": bool(lhs_flux <= rhs_flux * (1.0 + 1e-7) + 1e-300),
     }
-    if flux:
-        op.require_harmonic(u)
-        fluxes = op.cell_fluxes(u).reshape(grid_shape)
-        lhs_flux = 3.0 ** (-s * m) * besov_ring(fluxes, field.dimension, s, 2.0, q)
-        rhs_flux = cfac * Lambda ** 0.5 * energy_norm
-        report.update(
-            lhs_flux=float(lhs_flux),
-            rhs_flux=float(rhs_flux),
-            flux_ok=bool(lhs_flux <= rhs_flux * (1.0 + 1e-7) + 1e-300),
-        )
-    return report
 
 
 def weak_norm_diagnostics(field: CoefficientField, cube: TriadicCube,

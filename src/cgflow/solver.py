@@ -91,13 +91,6 @@ def _stencil_column(offsets) -> np.ndarray:
     return (offsets + 1) @ 3 ** np.arange(offsets.shape[-1] - 1, -1, -1)
 
 
-def _inside(offset) -> tuple:
-    """Slices of a node grid, one per axis, selecting the nodes whose
-    neighbour at `offset` lies in the grid."""
-    return tuple(slice(1, None) if o < 0 else slice(None, -1) if o > 0
-                 else slice(None) for o in offset)
-
-
 def _linear_offsets(grid) -> np.ndarray:
     """Node-index offset of each stencil column on the node lattice `grid`
     = (blocks, w_1, ..., w_d), nodes numbered in C order."""
@@ -105,32 +98,20 @@ def _linear_offsets(grid) -> np.ndarray:
     return _stencil_offsets(len(grid) - 1) @ strides
 
 
-@lru_cache(maxsize=16)
-def _stencil_pattern(grid) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only column indices and row pointers of the stencil-layout CSR
-    matrix on the node lattice `grid`: each node's row holds its 3^d stencil
-    entries in stencil-column order, and a neighbour outside the node's
-    block is a zero entry on the node itself."""
-    n, width = math.prod(grid), 3 ** (len(grid) - 1)
-    dtype = np.int32 if n * width < 2 ** 31 else np.int64
-    nodes = np.arange(n, dtype=dtype).reshape(grid)
-    columns = np.repeat(nodes[..., None], width, axis=-1)
-    for k, (offset, step) in enumerate(zip(_stencil_offsets(len(grid) - 1),
-                                           _linear_offsets(grid))):
-        columns[(slice(None),) + _inside(offset) + (k,)] += step
-    indptr = np.arange(0, n * width + 1, width, dtype=dtype)
-    columns = columns.reshape(-1)
-    for arr in (columns, indptr):
-        arr.setflags(write=False)
-    return columns, indptr
-
-
 def _stencil_matrix(stencil: np.ndarray, grid):
-    """CSR matrix on the node lattice `grid` whose data is the (nodes, 3^d)
-    stencil array itself."""
-    n = stencil.shape[0]
-    return scipy.sparse.csr_array((stencil.reshape(-1),) + _stencil_pattern(grid),
-                                  shape=(n, n))
+    """DIA matrix on the node lattice `grid` whose diagonals are the rows of
+    the (3^d, nodes) stencil array, stencil[k, j] = A[j - step_k, j] for the
+    linear offsets step_k.  On a lattice 2 nodes wide several offsets share
+    one step; their rows are summed into one diagonal, exactly, since at most
+    one of them is nonzero per node.  Otherwise the data is `stencil` itself."""
+    n = stencil.shape[1]
+    steps, merged = np.unique(_linear_offsets(grid), return_inverse=True)
+    if steps.size < len(stencil):
+        data = np.zeros((steps.size, n))
+        for k, row in zip(merged, stencil):
+            data[k] += row
+        stencil = data
+    return scipy.sparse.dia_array((stencil, steps), shape=(n, n))
 
 
 def _residual(A, X, rhs, blocks: int) -> float:
@@ -152,9 +133,8 @@ def _residual(A, X, rhs, blocks: int) -> float:
     return float(np.max(r_norm[live] / part_norm[live], initial=0.0))
 
 
-@lru_cache(maxsize=16)
 def _prolongation(grid, singular: bool):
-    """Read-only Q1 interpolation P from the lattice coarsened 3:1 per axis
+    """Q1 interpolation P from the lattice coarsened 3:1 per axis
     to the node lattice `grid` = (blocks, w, ..., w) of cubes of side s, w =
     s - 1 interior nodes (Dirichlet) or w = s + 1 nodes (`singular`, Neumann)
     per axis; returns P, its transpose as CSR, and the coarse lattice.  Per
@@ -175,26 +155,24 @@ def _prolongation(grid, singular: bool):
     P = scipy.sparse.identity(grid[0], format="csr")
     for _ in grid[1:]:
         P = scipy.sparse.kron(P, P1, format="csr")
-    # kron returns 64-bit indices; 32 bits halve the cache's index bytes.
+    # kron returns 64-bit indices; products with 32-bit ones run slightly
+    # faster.
     dtype = np.int32 if P.nnz < 2 ** 31 else np.int64
     P = scipy.sparse.csr_array((P.data, P.indices.astype(dtype), P.indptr.astype(dtype)),
                                shape=P.shape)
-    R = P.T.tocsr()
-    for arr in (P.data, P.indices, P.indptr, R.data, R.indices, R.indptr):
-        arr.setflags(write=False)
-    return P, R, (grid[0],) + (P1.shape[1],) * (len(grid) - 1)
+    return P, P.T.tocsr(), (grid[0],) + (P1.shape[1],) * (len(grid) - 1)
 
 
 def _multigrid(A, grid, singular: bool):
-    """Symmetric V(1,1)-cycle for A in stencil layout on the node lattice
+    """Symmetric V(1,1)-cycle for A, block diagonal on the node lattice
     `grid` = (blocks, w, ..., w), as a LinearOperator: the CG preconditioner
     above the direct cost cap.
 
-    Each level coarsens 3:1 per axis (_prolongation) until the cubes have
-    side 3, with the Galerkin operators P^T A P.  The smoother is l1-Jacobi,
-    D^{-1} with D the row sums of |A|, which needs no damping: 2D - A is
-    positive definite for any SPD A (Baker, Falgout, Kolev & Yang, SIAM J.
-    Sci. Comput. 2011).  The side-3 level is solved by a dense inverse per
+    Each level coarsens 3:1 per axis (_prolongation, built per call) until
+    the cubes have side 3, with the Galerkin operators P^T A P as CSR
+    matrices.  The smoother is l1-Jacobi, D^{-1} with D the row sums of
+    |A|, which needs no damping: 2D - A is positive definite for any SPD A
+    (Baker, Falgout, Kolev & Yang, SIAM J. Sci. Comput. 2011).  The side-3 level is solved by a dense inverse per
     block, a Neumann block's first node pinned.  A cycle is x = D^{-1} b,
     x += P V(P^T r), x += D^{-1} (r - A P V(P^T r)) for r = b - A x, so it
     is symmetric and positive definite.  With `singular` (Neumann blocks)
@@ -205,8 +183,7 @@ def _multigrid(A, grid, singular: bool):
     levels = []
     while side > 3:
         P, R, grid = _prolongation(grid, singular)
-        # Every row holds its diagonal, so no row is empty.
-        d_inv = 1.0 / np.add.reduceat(np.abs(A.data), A.indptr[:-1])
+        d_inv = 1.0 / abs(A).sum(axis=1)
         AP = A @ P
         levels.append((A, d_inv, AP, P, R))
         A = R @ AP
@@ -251,7 +228,7 @@ def _v_cycle(levels, inverse, b, k=0):
 
 
 def _solve_spd(A, grid, B, singular: bool = False):
-    """Solve A X = B for an SPD matrix A in stencil layout on the node
+    """Solve A X = B for an SPD DIA matrix A (_stencil_matrix) on the node
     lattice `grid` = (blocks, w, ..., w), so block diagonal with one block
     per w^d-node grid, and a block B with one right-hand side per column (a
     vector is one column); returns X and the worst block's and column's
@@ -262,8 +239,8 @@ def _solve_spd(A, grid, B, singular: bool = False):
     semidefinite with the constants as kernel, and each block's part of each
     column of B sums to zero; the columns of X are the solutions of zero mean
     on every block.  Within `direct_cost_cap` one banded Cholesky solve
-    covers all blocks and columns, with the upper band copied from the
-    stencil columns and, when singular, the first node of every block
+    covers all blocks and columns, with the upper band copied from A's
+    diagonals and, when singular, the first node of every block
     pinned.  Above it CG preconditioned by one multigrid V-cycle
     (_multigrid, built once per call) runs column by column, restarted from
     its iterate up to PCG_RESTARTS times while the true residual misses
@@ -278,26 +255,23 @@ def _solve_spd(A, grid, B, singular: bool = False):
     live = np.flatnonzero(rhs.any(axis=0))
     if live.size == 0:
         return X.reshape(np.shape(B)), 0.0
-    stencil = A.data.reshape(n, -1)
-    steps = _linear_offsets(grid)
-    b = int(steps.max())
+    b = int(A.offsets.max())
     unknowns = n - blocks if singular else n
     if unknowns * (b + 1) ** 2 <= settings.direct_cost_cap:
         # Upper band storage band[b + i - j, j] = A[i, j], laid out column by
-        # column (Fortran order) so that LAPACK factors it in place.  Column
-        # j's entries are row j's toward its lower neighbours; at narrow
-        # grids several stencil columns share one band row, one of them
-        # nonzero per node.
+        # column (Fortran order) so that LAPACK factors it in place: band row
+        # b - step is the diagonal at each step >= 0.
         band = np.zeros((n, b + 1)).T
-        for k in np.flatnonzero(steps <= 0):
-            band[b + steps[k]] += stencil[:, k]
+        for step, diagonal in zip(A.offsets, A.data):
+            if step >= 0:
+                band[b - step] = diagonal
         load = rhs
         if singular:
             # Pinned nodes get zero rows and columns and a unit diagonal: a
             # pinned row's upper entries sit in its upper neighbours' columns.
             band[:, ::size] = 0.0
             corners = list(itertools.product((0, 1), repeat=len(grid) - 1))
-            for step in steps[_stencil_column(corners)]:
+            for step in _linear_offsets(grid)[_stencil_column(corners)]:
                 band[b - step, step::size] = 0.0
             band[b, ::size] = 1.0
             load = rhs.copy()
@@ -390,11 +364,12 @@ class CubeOperator:
     own operator with its nodes numbered as there.  Solves act on every
     subcube at once, and the quadratures average over the whole cube.
 
-    K is a CSR matrix in stencil layout: its data is the (n_nodes, 3^d)
-    array of each node's entries toward its neighbours, in
-    _stencil_offsets order, which the solves read.  Its column indices are
-    shared and read-only, so scipy operations that sort or merge them in
-    place (abs, max, sum_duplicates) raise instead of changing the layout.
+    K is a DIA matrix over the (3^d, n_nodes) stencil array: row k holds
+    each node's entry toward its neighbour at minus the k-th offset of
+    _stencil_offsets, so it is the diagonal at that offset's node-index
+    step (rows that share a step on side-1 subcubes are merged, see
+    _stencil_matrix).  The operator keeps no index array, and the solver
+    no state per lattice.
     """
 
     def __init__(self, field: CoefficientField, cube: TriadicCube, level=None):
@@ -433,21 +408,21 @@ class CubeOperator:
         boundary[self._inner] = False
         self.boundary = boundary.reshape(-1)
 
-        # Element matrices ke[i * 2^d + j, c], added into the stencil array
-        # (built stencil column major, then transposed): row i of a cell's
-        # matrix goes to its corner i, toward corner j.
+        # Element matrices ke[i * 2^d + j, c], added into the stencil array:
+        # entry (i, j) of a cell's matrix goes to its corner j, in the
+        # stencil row of the offset from corner i to corner j.
         nb = len(corners)
         ke = G.reshape(d * d, nb * nb).T @ cells.reshape(-1, d * d).T
         ke = ke.reshape((nb * nb, self.blocks) + (side,) * d)
-        columns = _stencil_column(np.subtract(np.array(corners)[None],
-                                              np.array(corners)[:, None]))
+        rows = _stencil_column(np.subtract(np.array(corners)[None],
+                                           np.array(corners)[:, None]))
         stencil = np.zeros((3 ** d,) + self._grid)
-        for m, k in enumerate(columns.ravel()):
-            stencil[(k,) + self._corner_nodes[m // nb]] += ke[m]
-        stencil = stencil.reshape(3 ** d, -1).T.copy()
+        for m, k in enumerate(rows.ravel()):
+            stencil[(k,) + self._corner_nodes[m % nb]] += ke[m]
         if not np.isfinite(stencil).all():
             raise ConsistencyError(f"stiffness matrix of {cube} is not finite")
-        self.stiffness = _stencil_matrix(stencil, self._grid)
+        self._stencil = stencil.reshape(3 ** d, -1)
+        self.stiffness = _stencil_matrix(self._stencil, self._grid)
 
     # -- quadratures -----------------------------------------------------
 
@@ -512,17 +487,19 @@ class CubeOperator:
         columns = np.shape(boundary_values)[1:]
         w = np.zeros((self.n_nodes,) + columns)
         w[self.boundary] = boundary_values
-        # The interior nodes' stencil, without the entries toward the boundary.
+        # The interior nodes' stencil, without the entries whose row is a
+        # boundary node.
         d = self.dimension
-        stencil = self.stiffness.data.reshape(self._grid + (-1,))[self._inner].copy()
+        stencil = self._stencil.reshape((-1,) + self._grid)[(slice(None),) + self._inner]
+        stencil = stencil.copy()
         offsets = _stencil_offsets(d)
         for a in range(d):
-            for end, sign in ((0, -1), (-1, 1)):
+            for end, sign in ((0, 1), (-1, -1)):
                 face = [slice(None)] * (d + 2)
-                face[1 + a], face[-1] = end, np.flatnonzero(offsets[:, a] == sign)
+                face[0], face[2 + a] = np.flatnonzero(offsets[:, a] == sign), end
                 stencil[tuple(face)] = 0.0
-        grid = stencil.shape[:-1]
-        A = _stencil_matrix(stencil.reshape(-1, 3 ** d), grid)
+        grid = stencil.shape[1:]
+        A = _stencil_matrix(stencil.reshape(3 ** d, -1), grid)
         load = -(self.stiffness @ w).reshape(self._grid + columns)[self._inner]
         x, res = _solve_spd(A, grid, load.reshape((-1,) + columns))
         w.reshape(self._grid + columns)[self._inner] = x.reshape(load.shape)

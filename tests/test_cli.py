@@ -200,6 +200,11 @@ def besov_data(**entries):
     return dict(BESOV_RING, data=dict(BESOV_RING["data"], **entries))
 
 
+def lognormal_1d(log_mean):
+    return dict(COARSE_1D, ensemble={
+        "kind": "lognormal_iid", "params": {"log_mean": log_mean, "log_sigma": 1.0}})
+
+
 ALL_COMMANDS = [
     ("coarse-grain", COARSE_1D), ("flow", FLOW_1D), ("constants", CONSTANTS_2D),
     ("besov", BESOV_RING), ("verify", VERIFY),
@@ -269,6 +274,17 @@ def test_solver_key_is_unknown(tmp_path, capsys, command, config):
      "Infinity"),
     ("besov", dict(BESOV_RING, p=math.nan), "NaN"),
     ("verify", dict(VERIFY, cases=-math.inf), "-Infinity"),
+    # Ensemble parameters are finite real numbers, not bools or lists.
+    ("coarse-grain", lognormal_1d(None), "log_mean"),
+    ("coarse-grain", lognormal_1d("a"), "log_mean"),
+    ("coarse-grain", lognormal_1d([0.0, 1.0, 2.0]), "log_mean"),
+    ("coarse-grain", dict(COARSE_1D, ensemble={"kind": "constant",
+                                               "params": {"value": True}}), "value"),
+    ("flow", dict(FLOW_1D, ensemble=dict(FLOW_1D["ensemble"], params=dict(
+        FLOW_1D["ensemble"]["params"], prob_hi=True))), "prob_hi"),
+    # A sweep takes its sigma from the sweep block and reports no scale.
+    ("flow", dict(SWEEP_1D, pigeonhole={"delta": 0.5, "sigma": 0.5}), "pigeonhole"),
+    ("flow", dict(SWEEP_1D, find_scale={"sigma": 0.5}), "find_scale"),
 ])
 def test_bad_integer_settings_are_config_errors(tmp_path, capsys, command, config, key):
     cfg = write_config(tmp_path, "c.json", config)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from cgflow import (
     CoefficientField,
@@ -17,9 +18,14 @@ from cgflow import (
     solve_v,
     subcubes,
 )
-from cgflow.coarse import level_pairs
+from cgflow.coarse import coarse_pair, level_pairs
 from cgflow.errors import ConvergenceError, PreconditionError
-from cgflow.solver import DEFAULT_SETTINGS, banded_cost, stack_level
+from cgflow.solver import (
+    DEFAULT_SETTINGS,
+    _reference_grad_integrals,
+    banded_cost,
+    stack_level,
+)
 
 
 def lognormal_field(d, m, seed=0, sigma=0.8):
@@ -432,6 +438,57 @@ def test_cell_gradients_match_corner_gather():
                                       w[corner_node_index(op)] @ op._avg_grad)
 
 
+@pytest.mark.parametrize("field, level", [
+    pytest.param(lambda: anisotropic_field(2, 2, seed=24), None, id="2d-L2-anisotropic"),
+    pytest.param(lambda: lognormal_field(3, 1, seed=24), None, id="3d-L1"),
+    # A 2-node-wide lattice: stencil offsets that share a step share a diagonal.
+    pytest.param(lambda: lognormal_field(2, 1, seed=24), 0, id="2d-L1-level0"),
+    pytest.param(lambda: lognormal_field(2, 2, seed=24), 1, id="2d-L2-level1"),
+])
+def test_stiffness_matches_element_assembly(field, level):
+    # K summed cell by cell from the element matrices int grad phi_i . a_c
+    # grad phi_j, placed at each cell's corner nodes.
+    f = field()
+    d = f.dimension
+    op = CubeOperator(f, f.cube, level)
+    _, G, _ = _reference_grad_integrals(d)
+    ke = np.einsum("abij,cab->cij", G, op.cell_matrices)
+    index = corner_node_index(op)
+    K = np.zeros((op.n_nodes, op.n_nodes))
+    np.add.at(K, (index[:, :, None], index[:, None, :]), ke)
+    assert isinstance(op.stiffness, scipy.sparse.dia_array)
+    if op._grid[1] >= 3:
+        assert op.stiffness.data.shape == (3 ** d, op.n_nodes)
+    np.testing.assert_allclose(op.stiffness.toarray(), K, rtol=0.0,
+                               atol=1e-15 * np.abs(K).max())
+
+
+def test_solver_keeps_no_lattice_state(solver_settings):
+    # A banded pair (2d L3) and a multigrid one (3d L2) on fields that are
+    # then dropped leave nothing behind: the solver keeps no index pattern
+    # or interpolation per lattice.  Pairs on other lattices first warm the
+    # caches keyed by the dimension alone.
+    def pairs(level_2d, level_3d):
+        f = two_phase_field(2, level_2d, 100, seed=25)
+        coarse_pair(f, f.cube)
+        solver_settings(direct_cost_cap=0)
+        f = two_phase_field(3, level_3d, 100, seed=25)
+        coarse_pair(f, f.cube)
+        solver_settings()
+
+    pairs(1, 1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pairs(3, 2)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
+
+
 def test_flux_load_matches_per_cell_accumulation():
     # The per-corner slice-adds give each node the loads of its cells, as
     # gathering every cell's corner loads and summing them per node does.
@@ -461,9 +518,10 @@ def two_phase_field(d, m, contrast, seed):
 
 @pytest.mark.parametrize("d, m, bound", [(2, 5, 80), (3, 3, 224)])
 def test_operator_memory_per_node(d, m, bound):
-    # A one-cube operator built with warm lattice caches keeps its stencil
-    # (3^d floats per node), its boundary mask (one byte per node) and no
-    # per-node or per-cell index array.
+    # A one-cube operator, built after a first one has warmed the caches
+    # keyed by the dimension, keeps its stencil (3^d floats per node), its
+    # boundary mask (one byte per node) and no per-node or per-cell index
+    # array.
     f = two_phase_field(d, m, 100, seed=1)
     CubeOperator(f, f.cube)
     gc.collect()
