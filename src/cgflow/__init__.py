@@ -35,7 +35,6 @@ from .solver import (
 from .coarse import (
     CoarseGrainedPair,
     coarse_pair,
-    j_from_pair,
     j_functional,
     subadditivity_defect,
 )
@@ -56,7 +55,6 @@ from .flow import (
     PigeonholeResult,
     ScaleEstimate,
     contraction_diagnostics,
-    estimate_annealed,
     pigeonhole_select,
     run_flow,
     scale_from_record,

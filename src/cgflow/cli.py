@@ -270,8 +270,8 @@ def cmd_constants(config: dict, out_dir, threads: int, seed_override) -> int:
     # otherwise this realization's own top-scale Dirichlet matrix.
     if "abar_samples" in config:
         n_ab = _positive_int(config, "abar_samples", minimum=2)
-        est = flow_mod.estimate_annealed(spec, d, level, n_ab, workers=threads)
-        abar = est.abar * np.eye(d)
+        record = flow_mod.run_flow(spec, d, level, n_ab, workers=threads)
+        abar = record.estimates[level].abar * np.eye(d)
     else:
         abar = lad.a_all[level][0]
     payload = {
@@ -540,10 +540,13 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None:
             _seed(args.seed, "--seed")
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         config = _load_config(args.config)
         # Non-finite numbers are caught by the checks and classified below;
         # numpy's warnings about them would only precede that one line.
-        with np.errstate(all="ignore"):
+        # One BLAS thread makes output bytes independent of --threads.
+        with np.errstate(all="ignore"), flow_mod.one_blas_thread():
             code = _COMMANDS[args.command](config, args.out, args.threads, args.seed)
     except (CgflowError, MemoryError) as exc:
         code = EXIT_SOLVER

@@ -155,17 +155,11 @@ def mean_j(a: np.ndarray, a_star_inv: np.ndarray, p, q) -> float:
     return float(0.5 * np.einsum("si,bsij,sj->", pq, pairs, pq) / len(pairs) - p @ q)
 
 
-def j_from_pair(pair: CoarseGrainedPair, p, q) -> float:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return float(
-        0.5 * p @ pair.a @ p + 0.5 * q @ pair.a_star_inv @ q - p @ q
-    )
-
-
 def j_functional(field, cube, p, q) -> float:
     """J(cube, p, q) = 1/2 p.a(cube)p + 1/2 q.a_*^{-1}(cube)q - p.q."""
-    return j_from_pair(coarse_pair(field, cube), p, q)
+    pair = coarse_pair(field, cube)
+    return mean_j(pair.a[None], pair.a_star_inv[None],
+                  np.asarray(p, dtype=float), np.asarray(q, dtype=float))
 
 
 def subadditivity_defect(field, cube_m, level_n, p, q) -> float:

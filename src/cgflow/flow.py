@@ -9,6 +9,7 @@ are all the contrast arithmetic uses.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import glob
@@ -36,54 +37,80 @@ from . import multiscale
 MAX_ABORT_FRACTION = 0.1
 
 # numpy's and scipy's bundled OpenBLAS builds: the package whose `<name>.libs`
-# directory holds the library, and the suffix of the library's symbols.
-_BUNDLED_OPENBLAS = ((np, "64_"), (scipy, ""))
+# directory holds the library, its file name, and the prefix and suffix of its
+# symbols.  Older wheels (numpy 1.24, scipy 1.12) name both without "scipy_".
+_BUNDLED_OPENBLAS = (
+    (np, "libscipy_openblas*", "scipy_openblas_", "64_"),
+    (np, "libopenblas64_p-r0-*", "openblas_", "64_"),
+    (scipy, "libscipy_openblas*", "scipy_openblas_", ""),
+    (scipy, "libopenblasp-r0-*", "openblas_", ""),
+)
 
 
 def _bundled_openblas():
-    """Yield (library, symbol suffix) for each bundled OpenBLAS build found;
-    a build that is absent is skipped."""
-    for package, suffix in _BUNDLED_OPENBLAS:
+    """Yield the (get, set) thread-count functions of each bundled OpenBLAS
+    build found; a build that is absent is skipped."""
+    for package, name, prefix, suffix in _BUNDLED_OPENBLAS:
         site = os.path.dirname(os.path.dirname(package.__file__))
-        pattern = os.path.join(site, package.__name__ + ".libs", "libscipy_openblas*")
+        pattern = os.path.join(site, package.__name__ + ".libs", name)
         for path in sorted(glob.glob(pattern)):
             try:
                 lib = ctypes.CDLL(path)
-            except OSError:
+                get = getattr(lib, prefix + "get_num_threads" + suffix)
+                set_ = getattr(lib, prefix + "set_num_threads" + suffix)
+            except (OSError, AttributeError):
                 continue
-            yield lib, suffix
+            yield get, set_
 
 
 def _one_blas_thread():
     """Pool initializer: one BLAS thread per worker, so that the workers do
-    not oversubscribe the cores."""
-    for lib, suffix in _bundled_openblas():
-        setter = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
-        if setter is not None:
-            setter(1)
+    not oversubscribe the cores.  Returns the previous counts and setters."""
+    saved = [(get(), set_) for get, set_ in _bundled_openblas()]
+    for _, set_ in saved:
+        set_(1)
+    return saved
 
 
-def _sample_pairs(spec: EnsembleSpec, dimension: int, levels: tuple[int, ...],
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with one BLAS thread, as pool workers run, and restore
+    the caller's counts after: a threaded BLAS sums in another order."""
+    saved = _one_blas_thread()
+    try:
+        yield
+    finally:
+        for threads, set_ in saved:
+            set_(threads)
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _sample_pairs(spec: EnsembleSpec, dimension: int, max_level: int,
                   method: str, sample_index: int):
     """One Monte Carlo sample: tr a/d and tr a_*^{-1}/d on the lower-corner
-    cube at each requested level, as a (2, levels) array.  For symmetric M
-    the average of R M R^T over the cube point group commutes with every
-    signed permutation, so by Schur's lemma it is tr(M)/d times the identity:
-    the traces are the sample's cube-group averages.  Returns None if a solve
-    fails to converge or yields an inconsistent pair; every other error
-    propagates."""
+    cube at each level 0..max_level, as a (2, max_level + 1) array.  For
+    symmetric M the average of R M R^T over the cube point group commutes
+    with every signed permutation, so by Schur's lemma it is tr(M)/d times
+    the identity: the traces are the sample's cube-group averages.  Returns
+    None if a solve fails to converge or yields an inconsistent pair; every
+    other error propagates."""
     sample_spec = spec.with_seed(spec.seed + sample_index)
-    field = generate(sample_spec, dimension, max(levels))
-    traces = np.empty((2, len(levels)))
+    field = generate(sample_spec, dimension, max_level)
+    traces = np.empty((2, max_level + 1))
     try:
-        for i, n in enumerate(levels):
+        for n in range(max_level + 1):
             cube = TriadicCube(n, (0,) * dimension)
             if method == "oracle":
                 h = float(np.mean(1.0 / field.cells_in(cube)[:, 0, 0]))
-                traces[:, i] = 1.0 / h, h
+                traces[:, n] = 1.0 / h, h
             else:
                 pair = coarse_pair(field, cube)
-                traces[:, i] = (np.trace(pair.a) / dimension,
+                traces[:, n] = (np.trace(pair.a) / dimension,
                                 np.trace(pair.a_star_inv) / dimension)
     except (ConvergenceError, ConsistencyError):
         return None
@@ -136,9 +163,9 @@ class FlowRecord:
     max_level: int
     spec: EnsembleSpec
     estimates: list[ScaleEstimate]
-    a_samples: np.ndarray = dc_field(repr=False, default=None)      # (N, L+1)
-    astar_inv_samples: np.ndarray = dc_field(repr=False, default=None)
-    aborted: int = 0
+    a_samples: np.ndarray = dc_field(repr=False)      # (N, L+1)
+    astar_inv_samples: np.ndarray = dc_field(repr=False)
+    aborted: int
 
     @property
     def samples(self) -> int:
@@ -181,7 +208,7 @@ class FlowRecord:
         }
 
 
-def _aggregate(spec, dimension, levels, results, aborted) -> FlowRecord:
+def _aggregate(spec, dimension, results, aborted) -> FlowRecord:
     # The estimates reduce the (N, levels) arrays over the sample axis, row by
     # row; theta multiplies the means of each level's column, which numpy sums
     # pairwise.  The two orders can differ in the last bit.
@@ -192,34 +219,35 @@ def _aggregate(spec, dimension, levels, results, aborted) -> FlowRecord:
     abar_se = a_s.std(axis=0, ddof=1) / math.sqrt(n)
     ainv_se = ainv_s.std(axis=0, ddof=1) / math.sqrt(n)
     estimates = []
-    for li, level in enumerate(levels):
+    for li in range(a_s.shape[1]):
         # Product of the two sample means with a delta-method standard error.
         a_li, ainv_li = a_s[:, li], ainv_s[:, li]
         x, y = a_li.mean(), ainv_li.mean()
         cov = np.cov(a_li, ainv_li, ddof=1)
         var = (y * y * cov[0, 0] + x * x * cov[1, 1] + 2 * x * y * cov[0, 1]) / n
         estimates.append(ScaleEstimate(
-            level, n, float(abar[li]), float(abar_se[li]), float(ainv_bar[li]),
+            li, n, float(abar[li]), float(abar_se[li]), float(ainv_bar[li]),
             float(ainv_se[li]), float(x * y), math.sqrt(max(var, 0.0))))
-    record = FlowRecord(dimension, max(levels), spec, estimates, a_s, ainv_s,
-                        aborted)
-    # Additivity defect between consecutive recorded levels at (p, q) =
-    # (e_1, e_1); per-sample values give the correlated SE.
+    record = FlowRecord(dimension, len(estimates) - 1, spec, estimates, a_s,
+                        ainv_s, aborted)
+    # Additivity defect between consecutive levels at (p, q) = (e_1, e_1);
+    # per-sample values give the correlated SE.
     e1 = np.eye(dimension)[0]
-    for li in range(1, len(levels)):
+    for li in range(1, len(estimates)):
         estimates[li].tau_prev, estimates[li].tau_prev_se = tau_from_record(
             record, li, li - 1, e1, e1)
     return record
 
 
-def _run_samples(spec, dimension, levels, samples, method, workers):
+def _run_samples(spec, dimension, max_level, samples, method, workers):
     if samples < 2:
         raise ParameterError("need at least 2 Monte Carlo samples")
     if method == "oracle" and dimension != 1:
         raise ParameterError("the harmonic-mean oracle needs d = 1")
-    sample = functools.partial(_sample_pairs, spec, dimension, levels, method)
-    # A fork-started pool starts every worker up front: one per sample at most.
-    workers = min(workers or 1, samples)
+    sample = functools.partial(_sample_pairs, spec, dimension, max_level, method)
+    # A fork-started pool starts every worker up front: at most one per
+    # sample and per CPU.
+    workers = min(workers or 1, samples, _cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_one_blas_thread) as pool:
@@ -238,42 +266,27 @@ def _run_samples(spec, dimension, levels, samples, method, workers):
     return results, aborted
 
 
-def estimate_annealed(spec: EnsembleSpec, dimension: int, level_n: int,
-                      samples: int, method="solver", workers=1) -> ScaleEstimate:
-    """Sample mean and standard error of (tr a/d, tr a_*^{-1}/d) on the cube
-    at one level; per-sample fields use derived seeds seed + i."""
-    results, aborted = _run_samples(
-        spec, dimension, (level_n,), samples, method, workers,
-    )
-    record = _aggregate(spec, dimension, (level_n,), results, aborted)
-    return record.estimates[0]
-
-
 def run_flow(spec: EnsembleSpec, dimension: int, max_level: int, samples: int,
              method="solver", workers=1) -> FlowRecord:
-    """Annealed flow over levels 0..max_level with per-level sample reuse."""
+    """Annealed flow over levels 0..max_level with per-level sample reuse.
+    BLAS thread counts stay the caller's (see one_blas_thread)."""
     if max_level < 0:
         raise ParameterError("max_level must be >= 0")
-    levels = tuple(range(max_level + 1))
     results, aborted = _run_samples(
-        spec, dimension, levels, samples, method, workers,
+        spec, dimension, max_level, samples, method, workers,
     )
-    return _aggregate(spec, dimension, levels, results, aborted)
+    return _aggregate(spec, dimension, results, aborted)
 
 
 def synthetic_record(abar_scalars, astar_inv_scalars) -> FlowRecord:
-    """Zero-noise record from given per-level scalars (for the selector)."""
+    """Zero-noise record from given per-level scalars (for the selector):
+    the record of two equal samples."""
     a = np.asarray(abar_scalars, dtype=float)
     b = np.asarray(astar_inv_scalars, dtype=float)
     if a.shape != b.shape or a.ndim != 1 or len(a) < 1:
         raise ParameterError("need two equal-length scalar sequences")
     spec = EnsembleSpec("constant", {"value": 1.0})
-    ests = [
-        ScaleEstimate(n, 2, float(a[n]), 0.0, float(b[n]), 0.0,
-                      float(a[n] * b[n]), 0.0)
-        for n in range(len(a))
-    ]
-    return FlowRecord(1, len(a) - 1, spec, ests)
+    return _aggregate(spec, 1, [np.stack([a, b])] * 2, 0)
 
 
 @dataclass(frozen=True)

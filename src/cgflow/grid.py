@@ -199,20 +199,8 @@ class CoefficientField:
         self.cells = cells
 
     @property
-    def side(self) -> int:
-        return 3 ** self.ambient_level
-
-    @property
     def cube(self) -> TriadicCube:
         return root_cube(self.dimension, self.ambient_level)
-
-    def cell(self, coord) -> np.ndarray:
-        coord = tuple(int(c) for c in coord)
-        if len(coord) != self.dimension or any(
-            c < 0 or c >= self.side for c in coord
-        ):
-            raise ParameterError(f"cell coordinate {coord} out of range")
-        return self.cells[coord]
 
     def cells_in(self, cube: TriadicCube) -> np.ndarray:
         """View of the cell array restricted to `cube` (shape (side,)*d + (d, d))."""

@@ -402,15 +402,21 @@ def test_largest_seed_runs(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_flow_output_bytes_do_not_depend_on_threads(tmp_path, capsys):
+@pytest.mark.parametrize("dimension, max_level, seed", [
+    pytest.param(2, 2, 5, id="2d-L2"),
+    # Its level-3 pairs solve on PCG, whose sums a threaded BLAS reorders.
+    pytest.param(3, 3, 4, id="3d-L3"),
+])
+def test_flow_output_bytes_do_not_depend_on_threads(tmp_path, capsys, dimension,
+                                                    max_level, seed):
     cfg = write_config(tmp_path, "f.json", {
-        "dimension": 2,
+        "dimension": dimension,
         "ensemble": {
             "kind": "two_phase_iid",
             "params": {"prob_hi": 0.5, "sigma_hi": 10.0, "sigma_lo": 0.1},
-            "seed": 5,
+            "seed": seed,
         },
-        "max_level": 2, "samples": 4,
+        "max_level": max_level, "samples": 4,
     })
     for threads in ("1", "2"):
         assert main(["flow", "--config", cfg, "--out", str(tmp_path / threads),
@@ -420,6 +426,64 @@ def test_flow_output_bytes_do_not_depend_on_threads(tmp_path, capsys):
         assert (tmp_path / "1" / name).read_bytes() == (
             tmp_path / "2" / name
         ).read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_are_config_errors(tmp_path, capsys, threads):
+    cfg = write_config(tmp_path, "f.json", FLOW_1D)
+    assert main(["flow", "--config", cfg, "--threads", threads]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "ConfigError",
+        "message": f"--threads must be >= 1, got {threads}",
+        "exit_code": 2,
+    }
+
+
+def test_flow_pigeonhole_and_scale_payloads(tmp_path, capsys):
+    # A constant field is flat at every level: the first step is a good
+    # scale and the contrast is 1 from level 0 on, with zero noise.
+    cfg = write_config(tmp_path, "f.json", {
+        "dimension": 1,
+        "ensemble": {"kind": "constant", "params": {"value": 2.0}},
+        "max_level": 3, "samples": 2, "method": "oracle",
+        "pigeonhole": {"delta": 0.5, "sigma": 0.5},
+        "find_scale": {"sigma": 0.5},
+    })
+    assert main(["flow", "--config", cfg, "--threads", "1",
+                 "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    doc = json.loads((tmp_path / "o" / "flow.json").read_text())
+    assert doc["pigeonhole"] == {
+        "variant": "good_scale", "level": 1, "delta": 0.5, "sigma": 0.5,
+        "h": 1, "max_level": 3, "ratios": [1.0, 1.0], "theta_ratio": 1.0,
+    }
+    assert doc["homogenization_scale"] == {
+        "level": 0, "reached": True, "confident": True, "sigma": 0.5,
+    }
+
+
+def test_constants_abar_samples_is_the_flow_estimate(tmp_path, capsys):
+    config = {
+        "dimension": 2,
+        "ensemble": {
+            "kind": "two_phase_iid",
+            "params": {"prob_hi": 0.5, "sigma_hi": 4.0, "sigma_lo": 0.25},
+            "seed": 2,
+        },
+        "level": 1, "s": 0.25, "t": 0.25, "q": 2, "abar_samples": 3,
+    }
+    cfg = write_config(tmp_path, "c.json", config)
+    assert main(["constants", "--config", cfg, "--threads", "1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    spec = cgflow.EnsembleSpec.from_json_dict(config["ensemble"])
+    with cgflow.flow.one_blas_thread():
+        est = cgflow.run_flow(spec, 2, 1, 3).estimates[1]
+    assert out["abar"] == [est.abar, 0.0, 0.0, est.abar]
+    assert est.abar != pytest.approx(4.0)  # not the cells' own value
 
 
 def test_flow_3d(tmp_path, capsys):
@@ -501,6 +565,24 @@ def test_besov_command(tmp_path, capsys):
     assert main(["besov", "--config", cfg]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["value"] == pytest.approx(1.0 / (1.0 - 3.0 ** -0.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind, q, value", [
+    ("positive", 2, cgflow.besov_positive),
+    ("ring", "inf", lambda g, d, s, p, q: cgflow.besov_ring(g, d, s, p, q, None)),
+])
+def test_besov_command_matches_the_library(tmp_path, capsys, kind, q, value):
+    cells = [1.0, 2.0, 4.0, 1.0, 0.5, 3.0, 2.0, 2.0, 1.0]
+    cfg = write_config(tmp_path, "b.json", {
+        "dimension": 1, "s": 0.5, "p": 2, "q": q,
+        "data": {"kind": kind, "level": 2, "cells": cells},
+    })
+    assert main(["besov", "--config", cfg]) == 0
+    out = json.loads(capsys.readouterr().out)
+    expected = value(np.array(cells).reshape(9, 1), 1, 0.5, 2.0,
+                     math.inf if q == "inf" else float(q))
+    assert out == {"kind": kind, "s": 0.5, "p": 2, "q": q, "value": expected}
+    assert expected > 0
 
 
 def test_verify_passes(tmp_path, capsys):

@@ -18,19 +18,20 @@ from cgflow import (
     dihedral_conjugate,
     generate,
     harmonic_pool,
-    j_from_pair,
     j_functional,
     root_cube,
     solve_v,
     subadditivity_defect,
     subcubes,
 )
+from cgflow import coarse
 from cgflow.coarse import (
     energy_map_check,
     first_variation_sides,
     fluxmap_sides,
     integral_bound_slacks,
     level_pairs,
+    mean_j,
     response_defect,
     second_variation_sides,
 )
@@ -89,9 +90,9 @@ def test_unit_cell_pair_is_cell_matrix():
     f = lognormal_field(2, 1, seed=1)
     cell = TriadicCube(0, (1, 2))
     pair = coarse_pair(f, cell)
-    np.testing.assert_array_equal(pair.a, f.cell((1, 2)))
-    np.testing.assert_array_equal(pair.a_star, f.cell((1, 2)))
-    np.testing.assert_array_equal(pair.a_star_inv, np.linalg.inv(f.cell((1, 2))))
+    np.testing.assert_array_equal(pair.a, f.cells[1, 2])
+    np.testing.assert_array_equal(pair.a_star, f.cells[1, 2])
+    np.testing.assert_array_equal(pair.a_star_inv, np.linalg.inv(f.cells[1, 2]))
 
 
 def test_pair_matrices_are_read_only():
@@ -150,6 +151,23 @@ def test_level_pairs_keep_a_nan_residual(monkeypatch):
     monkeypatch.setattr(CubeOperator, "solve_neumann", nan_residual)
     residuals = level_pairs(f, f.cube, 1)[3]
     assert residuals[0] < 1e-12 and np.isnan(residuals[1])
+
+
+def test_level_pairs_name_the_subcube_that_breaks_the_ordering(monkeypatch):
+    # Halving one subcube's Dirichlet Gram matrix of a constant field puts
+    # its a below a_*; the check names that subcube.
+    grams = coarse._level_grams
+
+    def halved(field, cube, level):
+        dirichlet, neumann, residuals = grams(field, cube, level)
+        dirichlet[4] *= 0.5
+        return dirichlet, neumann, residuals
+
+    monkeypatch.setattr(coarse, "_level_grams", halved)
+    f = generate(EnsembleSpec("constant", {"value": 2.0}), 2, 2)
+    with pytest.raises(ConsistencyError) as err:
+        level_pairs(f, f.cube, 1)
+    assert f"violated on {TriadicCube(1, (3, 3))}:" in str(err.value)
 
 
 def test_3d_level3_pair_stays_on_pcg(banded_calls):
@@ -231,10 +249,11 @@ def test_j_is_nonnegative_and_zero_at_optimum():
     rng = np.random.default_rng(0)
     for _ in range(10):
         p = rng.standard_normal(2)
-        assert j_from_pair(pair, p, pair.a_star @ p) >= -1e-10
+        assert mean_j(pair.a[None], pair.a_star_inv[None], p,
+                      pair.a_star @ p) >= -1e-10
     # J(p, a_* p) = 1/2 p.(a - a_*) p, the minimum over q.
     p = np.array([1.0, -2.0])
-    val = j_from_pair(pair, p, pair.a_star @ p)
+    val = mean_j(pair.a[None], pair.a_star_inv[None], p, pair.a_star @ p)
     assert val == pytest.approx(0.5 * p @ pair.gap @ p, rel=1e-9)
 
 

@@ -1,4 +1,6 @@
 import json
+import os
+import types
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from cgflow import (
     ParameterError,
     PigeonholeDiagnosticError,
     contraction_diagnostics,
-    estimate_annealed,
     pigeonhole_select,
     run_flow,
     scale_from_record,
@@ -44,12 +45,12 @@ def test_recorded_traces_are_cube_group_averages(signed_permutations):
                     assert recorded[i, n] == pytest.approx(avg[0, 0], rel=1e-12)
 
 
-# -- estimate_annealed ---------------------------------------------------
+# -- one-level estimates ------------------------------------------------
 
 
 def test_constant_ensemble_estimate():
     spec = EnsembleSpec("constant", {"value": 3.0})
-    est = estimate_annealed(spec, 2, 1, samples=4)
+    est = run_flow(spec, 2, 1, samples=4).estimates[1]
     assert est.abar == pytest.approx(3.0, abs=1e-10)
     assert est.astar_inv == pytest.approx(1.0 / 3.0, abs=1e-11)
     assert est.abar_se == pytest.approx(0.0, abs=1e-10)
@@ -58,18 +59,18 @@ def test_constant_ensemble_estimate():
 
 def test_degenerate_two_phase_estimate():
     # prob_hi = 1 makes every cell sigma_hi: zero variance across samples.
-    est = estimate_annealed(two_phase(5.0, 0.5, p=1.0), 2, 1, samples=3)
+    est = run_flow(two_phase(5.0, 0.5, p=1.0), 2, 1, samples=3).estimates[1]
     assert est.abar == pytest.approx(5.0, abs=1e-9)
     assert est.abar_se == pytest.approx(0.0, abs=1e-10)
 
 
 def test_estimate_requires_two_samples():
     with pytest.raises(ParameterError):
-        estimate_annealed(two_phase(2.0, 0.5), 1, 1, samples=1)
+        run_flow(two_phase(2.0, 0.5), 1, 1, samples=1)
 
 
 def test_annealed_ordering_within_noise():
-    est = estimate_annealed(two_phase(10.0, 0.1, seed=5), 2, 2, samples=16)
+    est = run_flow(two_phase(10.0, 0.1, seed=5), 2, 2, samples=16).estimates[2]
     gap = est.abar - 1.0 / est.astar_inv
     assert gap >= -2.0 * (est.abar_se + est.astar_inv_se)
 
@@ -147,18 +148,58 @@ def test_flow_parallel_matches_serial():
 
 
 def _blas_threads(*args):
-    return [getattr(lib, "scipy_openblas_get_num_threads" + suffix)()
-            for lib, suffix in flow._bundled_openblas()]
+    return [get() for get, _ in flow._bundled_openblas()]
 
 
 def test_pool_workers_run_one_blas_thread(monkeypatch):
     # Each sample reports its worker's OpenBLAS thread counts instead.
     monkeypatch.setattr(flow, "_sample_pairs", _blas_threads)
-    results, aborted = flow._run_samples(two_phase(3.0, 0.4), 1, (0,), 2,
+    monkeypatch.setattr(flow, "_cpus", lambda: 2)
+    results, aborted = flow._run_samples(two_phase(3.0, 0.4), 1, 0, 2,
                                          "solver", workers=2)
     assert aborted == 0
     for threads in results:
         assert threads and threads == [1] * len(threads)
+
+
+def test_bundled_openblas_finds_the_older_wheel_layouts(tmp_path, monkeypatch):
+    # numpy 1.24 and scipy 1.12 wheels name the library and its symbols
+    # without "scipy_".  Stand-in packages point at files named so, and a
+    # stand-in loader returns each requested symbol as (file, name).
+    names = ("numpy.libs/libopenblas64_p-r0-0cf96a72.3.23.so",
+             "scipy.libs/libopenblasp-r0-23e5df77.3.21.so")
+    for name in names:
+        (tmp_path / name).parent.mkdir()
+        (tmp_path / name).touch()
+    fake = {name: types.SimpleNamespace(
+                __name__=name, __file__=str(tmp_path / name / "__init__.py"))
+            for name in ("numpy", "scipy")}
+    monkeypatch.setattr(flow, "_BUNDLED_OPENBLAS", tuple(
+        (fake[package.__name__], *rest)
+        for package, *rest in flow._BUNDLED_OPENBLAS))
+
+    class Library:
+        def __init__(self, path):
+            self.file = os.path.basename(path)
+
+        def __getattr__(self, symbol):
+            return self.file, symbol
+
+    monkeypatch.setattr(flow.ctypes, "CDLL", Library)
+    numpy_lib, scipy_lib = (os.path.basename(name) for name in names)
+    assert list(flow._bundled_openblas()) == [
+        ((numpy_lib, "openblas_get_num_threads64_"),
+         (numpy_lib, "openblas_set_num_threads64_")),
+        ((scipy_lib, "openblas_get_num_threads"),
+         (scipy_lib, "openblas_set_num_threads")),
+    ]
+
+
+def test_one_blas_thread_restores_the_callers_counts():
+    before = _blas_threads()
+    with flow.one_blas_thread():
+        assert before and _blas_threads() == [1] * len(before)
+    assert _blas_threads() == before
 
 
 def test_pool_is_bounded_by_the_sample_count(monkeypatch):
@@ -179,6 +220,7 @@ def test_pool_is_bounded_by_the_sample_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(flow, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(flow, "_cpus", lambda: 3)
     spec = two_phase(3.0, 0.4, seed=6)
     bounded = run_flow(spec, 1, 2, samples=2, method="oracle", workers=64)
     assert sizes == [2]
@@ -186,6 +228,9 @@ def test_pool_is_bounded_by_the_sample_count(monkeypatch):
     assert sizes == [2]  # one worker runs in the parent, without a pool
     serial = run_flow(spec, 1, 2, samples=2, method="oracle", workers=None)
     assert bounded.to_csv() == serial.to_csv()
+    # The available CPUs bound the pool too.
+    run_flow(spec, 1, 2, samples=8, method="oracle", workers=500)
+    assert sizes == [2, 3]
 
 
 # -- pigeonhole ----------------------------------------------------------

@@ -220,7 +220,7 @@ def test_field_cells_in_view():
     sub = TriadicCube(1, (3, 6))
     view = f.cells_in(sub)
     assert view.shape == (3, 3, 2, 2)
-    np.testing.assert_array_equal(view[0, 0], f.cell((3, 6)))
+    np.testing.assert_array_equal(view[0, 0], f.cells[3, 6])
 
 
 def test_dihedral_conjugate_roundtrip():
