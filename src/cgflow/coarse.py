@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConsistencyError, ParameterError
 from .grid import CoefficientField, TriadicCube, check_spd_array, subcubes
-from .solver import CubeOperator, stack_level
+from .solver import CubeOperator, _product, stack_level
 
 ORDER_TOL = 1e-9
 
@@ -51,7 +51,7 @@ def _polarize(op, W: np.ndarray) -> np.ndarray:
     """Gram matrices (1/|subcube|) w_i . K w_j of the nodal columns of W on
     each subcube of the operator, stacked in subcubes() order."""
     W3 = W.reshape(op.blocks, -1, W.shape[1])
-    KW3 = (op.stiffness @ W).reshape(W3.shape)
+    KW3 = np.ascontiguousarray(_product(op.stiffness, W).T).reshape(W3.shape)
     return np.swapaxes(W3, 1, 2) @ KW3 / (op.volume / op.blocks)
 
 

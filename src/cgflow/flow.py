@@ -210,32 +210,34 @@ class FlowRecord:
 
 def _aggregate(spec, dimension, results, aborted) -> FlowRecord:
     # The estimates reduce the (N, levels) arrays over the sample axis, row by
-    # row; theta multiplies the means of each level's column, which numpy sums
-    # pairwise.  The two orders can differ in the last bit.
+    # row; theta, its SE and tau use the means of each level's column, which
+    # numpy sums pairwise along the contiguous rows of the transposed
+    # arrays.  The two orders can differ in the last bit.
     a_s = np.array([r[0] for r in results])
     ainv_s = np.array([r[1] for r in results])
     n = a_s.shape[0]
     abar, ainv_bar = a_s.mean(axis=0), ainv_s.mean(axis=0)
     abar_se = a_s.std(axis=0, ddof=1) / math.sqrt(n)
     ainv_se = ainv_s.std(axis=0, ddof=1) / math.sqrt(n)
-    estimates = []
-    for li in range(a_s.shape[1]):
-        # Product of the two sample means with a delta-method standard error.
-        a_li, ainv_li = a_s[:, li], ainv_s[:, li]
-        x, y = a_li.mean(), ainv_li.mean()
-        cov = np.cov(a_li, ainv_li, ddof=1)
-        var = (y * y * cov[0, 0] + x * x * cov[1, 1] + 2 * x * y * cov[0, 1]) / n
-        estimates.append(ScaleEstimate(
-            li, n, float(abar[li]), float(abar_se[li]), float(ainv_bar[li]),
-            float(ainv_se[li]), float(x * y), math.sqrt(max(var, 0.0))))
+    # Product of the two sample means with a delta-method standard error;
+    # each level's covariance is np.cov's, one (2, N) @ (N, 2) product.
+    pairs = np.ascontiguousarray(np.stack([a_s.T, ainv_s.T], axis=1))
+    means = pairs.mean(axis=-1)
+    x, y = means.T
+    pairs -= means[..., None]
+    cov = pairs @ pairs.transpose(0, 2, 1) * np.true_divide(1, n - 1)
+    var = (y * y * cov[:, 0, 0] + x * x * cov[:, 1, 1] + 2 * x * y * cov[:, 0, 1]) / n
+    theta_se = np.sqrt(np.maximum(var, 0.0))
+    estimates = [ScaleEstimate(li, n, *map(float, row)) for li, row in enumerate(zip(
+        abar, abar_se, ainv_bar, ainv_se, x * y, theta_se))]
     record = FlowRecord(dimension, len(estimates) - 1, spec, estimates, a_s,
                         ainv_s, aborted)
     # Additivity defect between consecutive levels at (p, q) = (e_1, e_1);
     # per-sample values give the correlated SE.
     e1 = np.eye(dimension)[0]
-    for li in range(1, len(estimates)):
-        estimates[li].tau_prev, estimates[li].tau_prev_se = tau_from_record(
-            record, li, li - 1, e1, e1)
+    levels = np.arange(1, len(estimates))
+    for li, tau, tau_se in zip(levels, *_tau(record, levels, levels - 1, e1, e1)):
+        estimates[li].tau_prev, estimates[li].tau_prev_se = float(tau), float(tau_se)
     return record
 
 
@@ -385,18 +387,26 @@ def scale_from_record(record: FlowRecord, sigma: float) -> HomogenizationScale:
     return HomogenizationScale(None, False, sigma)
 
 
+def _tau(record: FlowRecord, n, k, p, q):
+    """tau_from_record for levels k < n or for arrays of them, without the
+    checks: the means and SEs of the per-sample values, each summed along
+    one contiguous row."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    a, ainv = record.a_samples, record.astar_inv_samples
+    vals = 0.5 * (p @ p) * (a[:, k] - a[:, n]) \
+        + 0.5 * (q @ q) * (ainv[:, k] - ainv[:, n])
+    vals = np.ascontiguousarray(vals.T)
+    return vals.mean(axis=-1), vals.std(axis=-1, ddof=1) / math.sqrt(vals.shape[-1])
+
+
 def tau_from_record(record: FlowRecord, n: int, k: int, p, q):
     """Expected additivity defect between levels k < n at directions (p, q),
     1/2 |p|^2 (a_k - a_n) + 1/2 |q|^2 (a_*^{-1}_k - a_*^{-1}_n) per sample in
     the recorded traces; SE from the per-sample values."""
     if not (0 <= k < n <= record.max_level):
         raise ParameterError(f"need 0 <= k < n <= {record.max_level}")
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    a, ainv = record.a_samples, record.astar_inv_samples
-    vals = 0.5 * (p @ p) * (a[:, k] - a[:, n]) \
-        + 0.5 * (q @ q) * (ainv[:, k] - ainv[:, n])
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
+    return tuple(map(float, _tau(record, n, k, p, q)))
 
 
 def contraction_diagnostics(record: FlowRecord, spec: EnsembleSpec,

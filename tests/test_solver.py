@@ -22,6 +22,7 @@ from cgflow.coarse import coarse_pair, level_pairs
 from cgflow.errors import ConvergenceError, PreconditionError
 from cgflow.solver import (
     DEFAULT_SETTINGS,
+    _product,
     _reference_grad_integrals,
     banded_cost,
     stack_level,
@@ -342,6 +343,14 @@ def anisotropic_field(d, m, seed):
     pytest.param(lambda: lognormal_field(2, 1, seed=16), None, id="2d-L1"),
     pytest.param(lambda: lognormal_field(3, 1, seed=16), None, id="3d-L1"),
     pytest.param(lambda: anisotropic_field(2, 2, seed=16), 1, id="2d-L2-level1"),
+    # Band widths of the flow's solves: a contrast-100 2d level-3 cube (b =
+    # 29 Neumann), a fully coupled 3d level-2 cube (b = 111) and nine
+    # stacked level-2 blocks of a 2d level-3 field.
+    pytest.param(lambda: generate(EnsembleSpec("two_phase_iid", {
+        "prob_hi": 0.5, "sigma_hi": 10.0, "sigma_lo": 0.1}, 16), 2, 3), None,
+        id="2d-L3-two-phase"),
+    pytest.param(lambda: anisotropic_field(3, 2, seed=16), None, id="3d-L2-anisotropic"),
+    pytest.param(lambda: anisotropic_field(2, 3, seed=16), 2, id="2d-L3-level2"),
 ])
 def test_banded_solves_match_dense_oracle(banded_calls, field, level):
     # Dirichlet and pinned Neumann block solves against np.linalg.solve on
@@ -370,6 +379,19 @@ def test_banded_solves_match_dense_oracle(banded_calls, field, level):
                                    atol=1e-12 * np.abs(oracle).max())
         assert sol.residual < 1e-12
     assert len(banded_calls) == 2
+
+
+@pytest.mark.parametrize("d, m, level", [(2, 3, None), (3, 2, None), (2, 3, 1)])
+def test_columnwise_product_matches_block_product(d, m, level):
+    # _product takes the stiffness times each column on its own, in either
+    # memory order, and returns the products as rows.  Older scipy forms the
+    # block product through CSR, so the sums may differ in the last bit.
+    K = CubeOperator(anisotropic_field(d, m, seed=17), root_cube(d, m), level).stiffness
+    X = np.random.default_rng(17).standard_normal((K.shape[0], 3))
+    atol = 1e-14 * np.abs(K.data).max() * np.abs(X).max()
+    for block in (X, np.asfortranarray(X), X[:, :1]):
+        np.testing.assert_allclose(_product(K, block), (K @ block).T, rtol=0, atol=atol)
+    np.testing.assert_allclose(_product(K, X[:, 0]), (K @ X[:, 0])[None], rtol=0, atol=atol)
 
 
 def test_huge_cells_give_finite_residuals():
