@@ -509,11 +509,37 @@ def _finite_int(literal: str) -> int:
     return value
 
 
+def _all_finite(node) -> bool:
+    """Whether every float in a parsed config is finite.  A list's sum is
+    finite only if its elements are finite numbers; when the sum overflows
+    or meets a non-number, the elements are checked one by one."""
+    if isinstance(node, float):
+        return math.isfinite(node)
+    if isinstance(node, dict):
+        return all(map(_all_finite, node.values()))
+    if isinstance(node, list):
+        try:
+            if math.isfinite(sum(node, 0.0)):
+                return True
+        except TypeError:
+            pass
+        return all(map(_all_finite, node))
+    return True
+
+
 def _load_config(path: str) -> dict:
+    # Floats parse at C speed; a non-finite one can only be an overflowing
+    # literal, since parse_constant rejects Infinity and NaN.  Only then is
+    # the text parsed again with a hook per float, to name the literal.
     try:
         with open(path) as fh:
-            config = json.load(fh, parse_constant=_reject_constant,
-                               parse_float=_finite_float, parse_int=_finite_int)
+            text = fh.read()
+        config = json.loads(text, parse_constant=_reject_constant,
+                            parse_int=_finite_int)
+        if not _all_finite(config):
+            # Raises the ConfigError that names the first such literal.
+            json.loads(text, parse_constant=_reject_constant,
+                       parse_float=_finite_float, parse_int=_finite_int)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -9,6 +9,7 @@ tails at a finite level instead (used to cross-check against brute force).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -162,14 +163,40 @@ def _window_oscillation(g: np.ndarray, dimension: int, side: int, step: int,
     return total / (windows.size // windows.shape[dimension])
 
 
+def _unit_oscillation(g: np.ndarray, dimension: int, p: float) -> float:
+    """_window_oscillation at k = 0 without the refined grid: the mean over
+    the (3n - 2)^d windows of 3 refined cells per axis (refinement 3, stride
+    1) of the window mean of |g - window mean|^p, from the n^d cells.  Along
+    an axis a window starting at refined index 3c + r covers cell c 3 - r
+    times and cell c + 1 r times, so each residue class r in {0, 1, 2}^d is
+    a weighted sum of at most 2^d shifted slices of the cell grid: 5^d - 1
+    slice terms in all, as the class r = 0 is a single cell and adds
+    nothing."""
+    n = g.shape[0]
+    total = 0.0
+    for residue in itertools.product(range(3), repeat=dimension):
+        if not any(residue):
+            continue
+        axes = [[(slice(None), 3)] if r == 0 else
+                [(slice(0, n - 1), 3 - r), (slice(1, n), r)] for r in residue]
+        terms = [(math.prod(w for _, w in part), g[tuple(sl for sl, _ in part)])
+                 for part in itertools.product(*axes)]
+        mean = sum(w * cells for w, cells in terms) / 3 ** dimension
+        for w, cells in terms:
+            dev = np.square(cells - mean).sum(axis=-1)
+            total += w * float(np.sum(dev ** (p / 2)))
+    return total / ((3 * n - 2) ** dimension * 3 ** dimension)
+
+
 def besov_positive(g, dimension: int, s: float, p: float, q: float) -> float:
     """Positive Besov seminorm with centered block oscillations; blocks of side
-    3^k live on the half-step offset grid 3^(k-1) Z^d.  Each block is an
-    unweighted window on the grid refined by 3 per axis (side 3, stride 1 at
-    k = 0) or, at k >= 1, a union of whole cells (side 3^k, stride 3^(k-1)),
-    reduced in bounded slabs.  The k-sum truncates at the unit scale: centered
-    averages of cell-constant data carry no sub-unit contribution under the
-    lattice cutoff convention."""
+    3^k live on the half-step offset grid 3^(k-1) Z^d.  At k = 0 each block
+    is a window of side 3 at stride 1 on the grid refined by 3 per axis,
+    reduced on the cell lattice (_unit_oscillation); at k >= 1 it is a union
+    of whole cells (side 3^k, stride 3^(k-1)), reduced in bounded slabs.
+    The k-sum truncates at the unit scale: centered averages of
+    cell-constant data carry no sub-unit contribution under the lattice
+    cutoff convention."""
     if not (0.0 < s < 1.0):
         raise ParameterError("s must lie in (0, 1)")
     if not (1.0 <= p) or p == INF:
@@ -182,12 +209,10 @@ def besov_positive(g, dimension: int, s: float, p: float, q: float) -> float:
     if n != 3 ** m:
         raise ParameterError(f"cell data side {n} is not a power of 3")
 
-    refined = g
-    for ax in range(dimension):
-        refined = np.repeat(refined, 3, axis=ax)
-    levels = [(refined, 3, 1)] + [(g, 3 ** k, 3 ** (k - 1)) for k in range(1, m + 1)]
-    inner = [_window_oscillation(grid, dimension, side, step, p) ** (1.0 / p)
-             for grid, side, step in levels]
+    inner = [_unit_oscillation(g, dimension, p)] + [
+        _window_oscillation(g, dimension, 3 ** k, 3 ** (k - 1), p)
+        for k in range(1, m + 1)]
+    inner = [a ** (1.0 / p) for a in inner]
     return _finite_seminorm(_scale_sum(inner, -s, q))
 
 

@@ -156,23 +156,39 @@ def _prolongation(grid, singular: bool):
     side = grid[1] - 1 if singular else grid[1] + 1
     fine = np.arange(side + 1)
     coarse, r = np.divmod(fine, 3)
-    shared = r > 0
-    P1 = scipy.sparse.csr_array(
-        (np.concatenate([1 - r / 3, r[shared] / 3]),
-         (np.concatenate([fine, fine[shared]]),
-          np.concatenate([coarse, coarse[shared] + 1]))),
-        shape=(side + 1, side // 3 + 1))
+    width = side // 3 + 1
+    # Per axis, the columns i // 3 and i // 3 + 1 of fine node i's two
+    # candidate entries and their weights, 0 for an entry P leaves out
+    # (which gets an in-range column and is dropped at the end).
+    cols = np.stack([coarse, np.minimum(coarse + 1, width - 1)])
+    weights = np.stack([1 - r / 3, r / 3])
     if not singular:
-        P1 = P1[1:-1, 1:-1]
-    P = scipy.sparse.identity(grid[0], format="csr")
-    for _ in grid[1:]:
-        P = scipy.sparse.kron(P, P1, format="csr")
-    # kron returns 64-bit indices; products with 32-bit ones run slightly
-    # faster.
-    dtype = np.int32 if P.nnz < 2 ** 31 else np.int64
-    P = scipy.sparse.csr_array((P.data, P.indices.astype(dtype), P.indptr.astype(dtype)),
-                               shape=P.shape)
-    return P, P.T.tocsr(), (grid[0],) + (P1.shape[1],) * (len(grid) - 1)
+        weights = np.where((cols > 0) & (cols < width - 1), weights, 0.0)[:, 1:-1]
+        cols, width = np.clip(cols[:, 1:-1] - 1, 0, width - 3), width - 2
+    d = len(grid) - 1
+    # 32-bit indices make the products slightly faster.
+    dtype = np.int32 if grid[0] * weights.size ** d < 2 ** 31 else np.int64
+    # Every fine node's 2^d candidate entries, (2^d, nodes) in C order over
+    # both, as Kronecker products over the axes: each row's columns ascend,
+    # and each weight is the product of the axes' weights in axis order.
+    C, W = np.zeros((1, 1), dtype=dtype), np.ones((1, 1))
+    cols = cols.astype(dtype)
+    for _ in range(d):
+        C = (C[:, None, :, None] * width + cols[None, :, None, :]).reshape(2 * len(C), -1)
+        W = (W[:, None, :, None] * weights[None, :, None, :]).reshape(C.shape)
+    # P with every candidate entry, row by row and block by block; the
+    # zero-weight ones are then dropped in place, and the copy holds only
+    # the kept entries (the padded arrays would stay alive as their bases).
+    per_block = width ** d
+    nodes, slots = C.shape[1], len(C)
+    C = (np.arange(grid[0], dtype=dtype)[:, None, None] * per_block + C.T).reshape(-1)
+    W = np.tile(W.T, (grid[0], 1)).reshape(-1)
+    P = scipy.sparse.csr_array((W, C, np.arange(0, len(W) + 1, slots, dtype=dtype)),
+                               shape=(grid[0] * nodes, grid[0] * per_block))
+    del C, W
+    P.eliminate_zeros()
+    P = P.copy()
+    return P, P.T.tocsr(), (grid[0],) + (width,) * d
 
 
 def _multigrid(A, grid, singular: bool):
@@ -502,6 +518,9 @@ class CubeOperator:
         columns = np.shape(boundary_values)[1:]
         w = np.zeros((self.n_nodes,) + columns)
         w[self.boundary] = boundary_values
+        if self._grid[1] == 2:
+            # Unit cubes have no interior nodes: the data is the solution.
+            return BlockSolution(self, w, 0.0)
         # The interior nodes' stencil, without the entries whose row is a
         # boundary node.
         d = self.dimension

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import cgflow
-from cgflow.cli import main, run_verification
+from cgflow.cli import _load_config, main, run_verification
+from cgflow.errors import ConfigError
 
 
 def write_config(tmp_path, name, payload):
@@ -323,6 +324,32 @@ def test_numbers_beyond_a_double_are_config_errors(tmp_path, capsys, command, te
     err = json.loads(lines[0])
     assert err["error"] == "ConfigError"
     assert "not a finite double" in err["message"]
+
+
+def test_finite_numbers_whose_sum_overflows_are_accepted(tmp_path):
+    # A list's sum is only a shortcut: when it overflows, the elements are
+    # checked one by one.
+    path = tmp_path / "c.json"
+    path.write_text('{"cells": [1e308, 1e308], "nested": [[1e308], [1e308, "a"]]}')
+    assert _load_config(str(path)) == {"cells": [1e308, 1e308],
+                                       "nested": [[1e308], [1e308, "a"]]}
+
+
+def test_overflowing_literal_in_a_list_is_named(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(_with_literal(besov_data(level=1, cells=[]), "[1e999, 1.0]",
+                                  ("data", "cells")))
+    assert main(["besov", "--config", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ConfigError", "exit_code": 2,
+                   "message": "number 1e999 is not a finite double"}
+
+
+def test_integer_beyond_a_double_in_a_list_is_rejected(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text('{"cells": [1.0, 1' + "0" * 400 + ']}')
+    with pytest.raises(ConfigError, match="not a finite double"):
+        _load_config(str(path))
 
 
 @pytest.mark.parametrize("kind", ["ring", "positive"])

@@ -18,11 +18,12 @@ from cgflow import (
     solve_v,
     subcubes,
 )
-from cgflow.coarse import coarse_pair, level_pairs
+from cgflow.coarse import coarse_pair, j_functional, level_pairs
 from cgflow.errors import ConvergenceError, PreconditionError
 from cgflow.solver import (
     DEFAULT_SETTINGS,
     _product,
+    _prolongation,
     _reference_grad_integrals,
     banded_cost,
     stack_level,
@@ -182,6 +183,72 @@ def test_harmonic_pool_is_seeded():
     op = CubeOperator(f, f.cube)
     for w in a:
         op.require_harmonic(w, tol=1e-8)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_unit_cube_solves_return_the_boundary_data(d):
+    # A unit cube has no interior nodes: the Dirichlet solution is its data.
+    f = lognormal_field(d, 0, seed=14)
+    op = CubeOperator(f, f.cube)
+    p, q = np.linspace(0.5, 1.5, d), np.linspace(-1.0, 0.5, d)
+    w = op.solve_dirichlet(np.column_stack([p, -p]))
+    np.testing.assert_array_equal(w.values, op.affine(np.column_stack([p, -p])))
+    assert w.residual == 0.0
+    v = solve_v(f, f.cube, p, q)
+    assert v.energy == pytest.approx(j_functional(f, f.cube, p, q), rel=1e-12)
+    pool = harmonic_pool(f, f.cube, 3, seed=5)
+    data = np.random.Generator(np.random.Philox(key=np.uint64(5))).standard_normal(
+        (3, 2 ** d))
+    np.testing.assert_array_equal(np.array(pool), data)
+
+
+def test_level0_stack_dirichlet_is_the_affine_data():
+    f = lognormal_field(2, 2, seed=15)
+    op = CubeOperator(f, f.cube, 0)
+    w = op.solve_dirichlet(np.eye(2))
+    np.testing.assert_array_equal(w.values, op.affine(np.eye(2)))
+    assert w.residual == 0.0
+    p = np.array([1.0, -2.0])
+    energy = 0.5 * np.einsum("i,cij,j->", p, op.cell_matrices, p) / op.volume
+    assert op.solve_dirichlet(p).energy == pytest.approx(energy, rel=1e-12)
+
+
+def kron_prolongation(grid, singular):
+    """P as the Kronecker product of the 1d interpolations, through scipy's
+    COO kron: the oracle for _prolongation's direct CSR arrays."""
+    side = grid[1] - 1 if singular else grid[1] + 1
+    fine = np.arange(side + 1)
+    coarse, r = np.divmod(fine, 3)
+    shared = r > 0
+    P1 = scipy.sparse.csr_array(
+        (np.concatenate([1 - r / 3, r[shared] / 3]),
+         (np.concatenate([fine, fine[shared]]),
+          np.concatenate([coarse, coarse[shared] + 1]))),
+        shape=(side + 1, side // 3 + 1))
+    if not singular:
+        P1 = P1[1:-1, 1:-1]
+    P = scipy.sparse.identity(grid[0], format="csr")
+    for _ in grid[1:]:
+        P = scipy.sparse.kron(P, P1, format="csr")
+    return P
+
+
+@pytest.mark.parametrize("d, side, blocks", [(1, 27, 2), (2, 9, 1), (2, 27, 3),
+                                             (3, 9, 2), (3, 27, 1)])
+@pytest.mark.parametrize("singular", [False, True], ids=["dirichlet", "neumann"])
+def test_prolongation_matches_kronecker_product(d, side, blocks, singular):
+    # The same entries in the same order within each row, with 32-bit
+    # indices, so products with P and P^T give the same bits.
+    grid = (blocks,) + (side + 1 if singular else side - 1,) * d
+    P, R, coarse = _prolongation(grid, singular)
+    ref = kron_prolongation(grid, singular)
+    assert P.shape == ref.shape
+    assert coarse == (blocks,) + (side // 3 + 1 if singular else side // 3 - 1,) * d
+    np.testing.assert_array_equal(P.indptr, ref.indptr)
+    np.testing.assert_array_equal(P.indices, ref.indices)
+    np.testing.assert_array_equal(P.data, ref.data)
+    assert P.indices.dtype == P.indptr.dtype == np.int32
+    np.testing.assert_array_equal(R.toarray(), ref.T.toarray())
 
 
 def test_subcube_operator_uses_local_coordinates():
