@@ -53,6 +53,11 @@ DEFAULT_SETTINGS = SolverSettings()
 #: residual misses the tolerance after its first run.
 PCG_RESTARTS = 3
 
+#: Weight of the multigrid's l1-Jacobi smoother, omega D^{-1}: any omega
+#: in (0, 2) keeps the V-cycle SPD; counts fall up to 1.7-1.8 and rise
+#: again from 1.9 at 3d L3.
+SMOOTHER_WEIGHT = 1.7
+
 
 def banded_cost(d: int, level: int) -> int:
     """Cost m (b + 1)^2 of the banded Neumann solve of one level-`level`
@@ -198,12 +203,16 @@ def _multigrid(A, grid, singular: bool):
 
     Each level coarsens 3:1 per axis (_prolongation, built per call) until
     the cubes have side 3, with the Galerkin operators P^T A P as CSR
-    matrices.  The smoother is l1-Jacobi, D^{-1} with D the row sums of
-    |A|, which needs no damping: 2D - A is positive definite for any SPD A
-    (Baker, Falgout, Kolev & Yang, SIAM J. Sci. Comput. 2011).  The side-3 level is solved by a dense inverse per
-    block, a Neumann block's first node pinned.  A cycle is x = D^{-1} b,
-    x += P V(P^T r), x += D^{-1} (r - A P V(P^T r)) for r = b - A x, so it
-    is symmetric and positive definite.  With `singular` (Neumann blocks)
+    matrices.  The smoother is over-relaxed l1-Jacobi, S = omega D^{-1}
+    with D the row sums of |A| and omega = SMOOTHER_WEIGHT (Baker, Falgout,
+    Kolev & Yang, SIAM J. Sci. Comput. 2011): D - A is symmetric, weakly
+    diagonally dominant and has a nonnegative diagonal, so A <= D, and
+    2D/omega - A >= (2/omega - 1) D is positive definite for every omega
+    < 2, positive stencil entries of anisotropic cells included.  The
+    side-3 level is solved by a dense inverse per block, a Neumann block's
+    first node pinned.  A cycle is x = S b, x += P V(P^T r),
+    x += S (r - A P V(P^T r)) for r = b - A x, so by that bound it is
+    symmetric and positive definite.  With `singular` (Neumann blocks)
     it is applied between two removals of each block's mean, Q V(Q r),
     which keeps it symmetric on the mean-zero space CG runs in."""
     blocks, n = grid[0], A.shape[0]
@@ -211,7 +220,7 @@ def _multigrid(A, grid, singular: bool):
     levels = []
     while side > 3:
         P, R, grid = _prolongation(grid, singular)
-        d_inv = 1.0 / abs(A).sum(axis=1)
+        d_inv = SMOOTHER_WEIGHT / abs(A).sum(axis=1)
         AP = A @ P
         levels.append((A, d_inv, AP, P, R))
         A = R @ AP
@@ -239,11 +248,11 @@ def _multigrid(A, grid, singular: bool):
 
 
 def _v_cycle(levels, inverse, b, k=0):
-    """One V-cycle of _multigrid from level k: `levels` holds (A, D^{-1},
-    A P, P, P^T) per level above the coarsest, whose blocks' dense inverses
-    are `inverse`.  A module function, not a closure over itself, so that a
-    finished solve's hierarchy is freed at once instead of by the cycle
-    collector."""
+    """One V-cycle of _multigrid from level k: `levels` holds (A, the
+    smoother omega D^{-1}, A P, P, P^T) per level above the coarsest, whose
+    blocks' dense inverses are `inverse`.  A module function, not a closure
+    over itself, so that a finished solve's hierarchy is freed at once
+    instead of by the cycle collector."""
     if k == len(levels):
         return (inverse @ b.reshape(inverse.shape[:2] + (1,))).reshape(-1)
     A, d_inv, AP, P, R = levels[k]
@@ -307,9 +316,11 @@ def _solve_spd(A, grid, B, singular: bool = False):
             load[::size] = 0.0
         # Node 0's pinned equation, x = 0, is left out of the call: for one
         # block it is the band and LAPACK call of the system without node 0.
+        # LAPACK gets at most as many band rows as unknowns (a 1d unit cell
+        # leaves one).
         pin = 1 if singular else 0
         X[pin:] = scipy.linalg.solveh_banded(
-            band[:, pin:], load[pin:], overwrite_ab=True, lower=True,
+            band[:n - pin, pin:], load[pin:], overwrite_ab=True, lower=True,
             check_finite=False,
         )
         if singular:
