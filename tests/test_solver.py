@@ -664,9 +664,13 @@ def test_multigrid_preconditioner_is_symmetric_positive(solver_settings, cg_runs
     op.solve_dirichlet(np.eye(d)[0])
     first = len(cg_runs)
     op.solve_neumann(np.eye(d)[0])
-    # A restarted run reuses its solve's preconditioner.
-    assert first >= 1 and len(cg_runs) > first
-    assert len({id(run.M) for run in cg_runs}) == 2
+    if laminate:
+        # The laminate's Neumann column may restart; a restarted run reuses
+        # its solve's preconditioner.
+        assert first == 1 and len(cg_runs) > first
+        assert len({id(run.M) for run in cg_runs}) == 2
+    else:
+        assert len(cg_runs) == 2
     for run, singular in ((cg_runs[0], False), (cg_runs[first], True)):
         n = run.M.shape[0]
         M = np.column_stack([run.M.matvec(e) for e in np.eye(n)])
@@ -717,7 +721,6 @@ def test_smoother_weight_keeps_every_level_in_the_l1_bound(solver_settings,
             spectrum = np.linalg.eigvalsh(omega * scale[:, None] * A * scale[None, :])
             assert spectrum[0] >= -1e-12 * omega
             assert spectrum[-1] <= omega * (1 + 1e-12)
-            assert spectrum[-1] < 2
 
 
 def test_multigrid_iterations_do_not_grow_with_level(solver_settings, cg_runs):
