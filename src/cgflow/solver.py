@@ -150,50 +150,51 @@ def _residual(A, X, rhs, blocks: int) -> float:
     return float(np.max(r_norm[live] / part_norm[live], initial=0.0))
 
 
-def _prolongation(grid, singular: bool):
-    """Q1 interpolation P from the lattice coarsened 3:1 per axis
-    to the node lattice `grid` = (blocks, w, ..., w) of cubes of side s, w =
-    s - 1 interior nodes (Dirichlet) or w = s + 1 nodes (`singular`, Neumann)
-    per axis; returns P, its transpose as CSR, and the coarse lattice.  Per
-    axis, fine node i takes weights 1 - r/3 and r/3 from coarse nodes i // 3
-    and i // 3 + 1, r = i % 3; the Dirichlet lattices leave out the boundary
-    nodes of both.  P is block diagonal, one block per cube."""
-    side = grid[1] - 1 if singular else grid[1] + 1
-    fine = np.arange(side + 1)
-    coarse, r = np.divmod(fine, 3)
-    width = side // 3 + 1
-    # Per axis, the columns i // 3 and i // 3 + 1 of fine node i's two
-    # candidate entries and their weights, 0 for an entry P leaves out
-    # (which gets an in-range column and is dropped at the end).
-    cols = np.stack([coarse, np.minimum(coarse + 1, width - 1)])
-    weights = np.stack([1 - r / 3, r / 3])
-    if not singular:
-        weights = np.where((cols > 0) & (cols < width - 1), weights, 0.0)[:, 1:-1]
-        cols, width = np.clip(cols[:, 1:-1] - 1, 0, width - 3), width - 2
-    d = len(grid) - 1
-    # 32-bit indices make the products slightly faster.
-    dtype = np.int32 if grid[0] * weights.size ** d < 2 ** 31 else np.int64
-    # Every fine node's 2^d candidate entries, (2^d, nodes) in C order over
-    # both, as Kronecker products over the axes: each row's columns ascend,
-    # and each weight is the product of the axes' weights in axis order.
-    C, W = np.zeros((1, 1), dtype=dtype), np.ones((1, 1))
-    cols = cols.astype(dtype)
+def _coarsen(stencil: np.ndarray, grid, singular: bool):
+    """Galerkin coarsening of the block-diagonal operator A with the
+    (3^d, nodes) stencil `stencil` (_stencil_matrix) on the node lattice
+    `grid` = (blocks, w, ..., w) of cubes of side s, w = s - 1 interior
+    nodes (Dirichlet) or w = s + 1 nodes (`singular`, Neumann) per axis;
+    returns the stencil of P^T A P, the coarse lattice and P (CSR).
+
+    P = I_blocks (x) P1 (x) ... (x) P1: the 1d Q1 interpolation P1 gives
+    fine node i weight 1 - |i - 3I|/3 from coarse node I, both counted from
+    the cube's corner, and the Dirichlet lattices leave out the boundary
+    nodes of both.  P^T A P couples each coarse node only to its 3^d
+    neighbours: S_c[O, J] = sum over (o, j) of P[j - o, J - O] P[j, J]
+    S[o, j] contracts each axis's (offset, node) pair with K[(O, J), (o, j)]
+    = P1[j, J] P1[j - o, J - O], P1 being 0 at a node off either lattice,
+    so couplings off the fine lattice and to the coarse boundary drop out."""
+    d, w = len(grid) - 1, grid[1]
+    cut = 0 if singular else 1  # boundary nodes left out per end
+    w_c = (w + 2 * cut - 1) // 3 + 1 - 2 * cut
+
+    def p1(i, I):
+        on = (i >= 0) & (i < w) & (I >= 0) & (I < w_c)
+        return np.where(on, np.maximum(1 - abs(i - 3 * I - 2 * cut) / 3, 0), 0.0)
+
+    i = np.arange(w)[:, None]
+    P = reduce(partial(scipy.sparse.kron, format="csr"),
+               [scipy.sparse.csr_array(p1(i, np.arange(w_c)))] * d,
+               scipy.sparse.identity(grid[0], format="csr"))
+    # K's entries from each fine node's two nearest coarse nodes I (one of
+    # weight 0 where they coincide), offsets O and o on the first two axes.
+    I = (i + cut) // 3 - cut + np.arange(2)
+    O, o = np.arange(-1, 2)[:, None, None, None], np.arange(-1, 2)[:, None, None]
+    rows, cols, values = np.broadcast_arrays((O + 1) * w_c + I, (o + 1) * w + i,
+                                             p1(i, I) * p1(i - o, I - O))
+    on = values != 0
+    K = scipy.sparse.csr_array((values[on], (rows[on], cols[on])),
+                               shape=(3 * w_c, 3 * w))
+    # Axes (o_1, j_1, ..., o_d, j_d, blocks); each product moves the pair it
+    # contracts to the end, so after d of them the blocks lead.
+    X = stencil.reshape((3,) * d + grid).transpose(
+        [k for a in range(d) for k in (a, d + 1 + a)] + [d])
     for _ in range(d):
-        C = (C[:, None, :, None] * width + cols[None, :, None, :]).reshape(2 * len(C), -1)
-        W = (W[:, None, :, None] * weights[None, :, None, :]).reshape(C.shape)
-    # P with every candidate entry, row by row and block by block; the
-    # zero-weight ones are then dropped in place, and the copy holds only
-    # the kept entries (the padded arrays would stay alive as their bases).
-    per_block = width ** d
-    nodes, slots = C.shape[1], len(C)
-    C = (np.arange(grid[0], dtype=dtype)[:, None, None] * per_block + C.T).reshape(-1)
-    W = np.tile(W.T, (grid[0], 1)).reshape(-1)
-    P = scipy.sparse.csr_array((W, C, np.arange(0, len(W) + 1, slots, dtype=dtype)),
-                               shape=(grid[0] * nodes, grid[0] * per_block))
-    del C, W
-    P.eliminate_zeros()
-    P = P.copy()
-    return P, P.T.tocsr(), (grid[0],) + (width,) * d
+        X = (K @ X.reshape(3 * w, -1)).T
+    X = X.reshape((grid[0],) + (3, w_c) * d).transpose(
+        list(range(1, 2 * d, 2)) + list(range(0, 2 * d + 1, 2)))
+    return X.reshape(3 ** d, -1), (grid[0],) + (w_c,) * d, P
 
 
 def _multigrid(A, grid, singular: bool):
@@ -201,9 +202,9 @@ def _multigrid(A, grid, singular: bool):
     `grid` = (blocks, w, ..., w), as a LinearOperator: the CG preconditioner
     above the direct cost cap.
 
-    Each level coarsens 3:1 per axis (_prolongation, built per call) until
-    the cubes have side 3, with the Galerkin operators P^T A P as CSR
-    matrices.  The smoother is over-relaxed l1-Jacobi, S = omega D^{-1}
+    Each level coarsens 3:1 per axis (_coarsen) until the cubes have side
+    3, each level the DIA matrix of its Galerkin stencil P^T A P.  The
+    smoother is over-relaxed l1-Jacobi, S = omega D^{-1}
     with D the row sums of |A| and omega = SMOOTHER_WEIGHT (Baker, Falgout,
     Kolev & Yang, SIAM J. Sci. Comput. 2011): D - A is symmetric, weakly
     diagonally dominant and has a nonnegative diagonal, so A <= D, and
@@ -215,20 +216,18 @@ def _multigrid(A, grid, singular: bool):
     symmetric and positive definite.  With `singular` (Neumann blocks)
     it is applied between two removals of each block's mean, Q V(Q r),
     which keeps it symmetric on the mean-zero space CG runs in."""
-    blocks, n = grid[0], A.shape[0]
+    blocks, n, levels = grid[0], A.shape[0], []
     side = grid[1] - 1 if singular else grid[1] + 1
-    levels = []
     while side > 3:
-        P, R, grid = _prolongation(grid, singular)
         d_inv = SMOOTHER_WEIGHT / abs(A).sum(axis=1)
-        AP = A @ P
-        levels.append((A, d_inv, AP, P, R))
-        A = R @ AP
+        # At least 8 nodes wide, A's data is its stencil (_stencil_matrix).
+        stencil, grid, P = _coarsen(A.data, grid, singular)
+        levels.append((A, d_inv, P))
+        A = _stencil_matrix(stencil, grid)
         side //= 3
+    # Each block's dense matrix from one product with stacked unit vectors.
     size = A.shape[0] // blocks
-    coo = A.tocoo()
-    dense = np.zeros((blocks, size, size))
-    np.add.at(dense, (coo.row // size, coo.row % size, coo.col % size), coo.data)
+    dense = (A @ np.tile(np.eye(size), (blocks, 1))).reshape(blocks, size, size)
     if singular:
         dense[:, 0, :] = 0.0
         dense[:, :, 0] = 0.0
@@ -249,18 +248,18 @@ def _multigrid(A, grid, singular: bool):
 
 def _v_cycle(levels, inverse, b, k=0):
     """One V-cycle of _multigrid from level k: `levels` holds (A, the
-    smoother omega D^{-1}, A P, P, P^T) per level above the coarsest, whose
-    blocks' dense inverses are `inverse`.  A module function, not a closure
-    over itself, so that a finished solve's hierarchy is freed at once
-    instead of by the cycle collector."""
+    smoother omega D^{-1}, P) per level above the coarsest, whose blocks'
+    dense inverses are `inverse`.  A module function, not a closure over
+    itself, so that a finished solve's hierarchy is freed at once instead
+    of by the cycle collector."""
     if k == len(levels):
         return (inverse @ b.reshape(inverse.shape[:2] + (1,))).reshape(-1)
-    A, d_inv, AP, P, R = levels[k]
+    A, d_inv, P = levels[k]
     x = d_inv * b
     r = b - A @ x
-    e = _v_cycle(levels, inverse, R @ r, k + 1)
-    x += P @ e
-    x += d_inv * (r - AP @ e)
+    e = P @ _v_cycle(levels, inverse, P.T @ r, k + 1)
+    x += e
+    x += d_inv * (r - A @ e)
     return x
 
 
@@ -275,17 +274,18 @@ def _solve_spd(A, grid, B, singular: bool = False):
     With `singular`, each diagonal block of A is a Neumann stiffness matrix,
     semidefinite with the constants as kernel, and each block's part of each
     column of B sums to zero; the columns of X are the solutions of zero mean
-    on every block.  Within `direct_cost_cap` one banded Cholesky solve
+    on every block.  Within `direct_cost_cap` one banded Cholesky factor
     covers all blocks and columns: LAPACK's lower band, band[i - j, j] =
     A[i, j], is copied from A's diagonals at steps >= 0, each shifted left
-    by its step, and when singular the first node of every block is pinned by
-    a zero band column with a unit diagonal.  Above it CG preconditioned by
-    one multigrid V-cycle (_multigrid, built once per call) runs column by
-    column, restarted from its iterate up to PCG_RESTARTS times while the
-    true residual misses `tolerance`; a column that still misses it raises
-    ConvergenceError, and so does a non-finite residual of the banded solve.
-    Zero columns give zero solutions.  The settings are read at call
-    time."""
+    by its step, and when singular the first node of every block is pinned
+    by a zero band column with a unit diagonal.  A solve whose true residual misses `tolerance` takes one
+    step of iterative refinement on the same factor.  Above the cap CG
+    preconditioned by one multigrid V-cycle (_multigrid, built once per
+    call) runs column by column, restarted from its iterate up to
+    PCG_RESTARTS times while the true residual misses `tolerance`.  A solve
+    that still misses it, or whose residual is not finite, raises
+    ConvergenceError.  Zero columns give zero solutions.  The settings are
+    read at call time."""
     settings = DEFAULT_SETTINGS
     blocks, n = grid[0], A.shape[0]
     size = n // blocks
@@ -305,33 +305,44 @@ def _solve_spd(A, grid, B, singular: bool = False):
         for step, diagonal in zip(A.offsets, A.data):
             if step >= 0:
                 band[step, :n - step] = diagonal[step:]
-        load = rhs
         if singular:
             # A block's first node couples only to later nodes of its block,
             # all in its own band column: a zero column and a unit diagonal
             # pin it.
             band[:, ::size] = 0.0
             band[0, ::size] = 1.0
-            load = rhs.copy()
-            load[::size] = 0.0
-        # Node 0's pinned equation, x = 0, is left out of the call: for one
-        # block it is the band and LAPACK call of the system without node 0.
-        # LAPACK gets at most as many band rows as unknowns (a 1d unit cell
-        # leaves one).
+        # Node 0's pinned equation, x = 0, is left out of the factor: for
+        # one block it is the band of the system without node 0.  LAPACK
+        # gets at most as many band rows as unknowns (a 1d unit cell leaves
+        # one).
         pin = 1 if singular else 0
-        X[pin:] = scipy.linalg.solveh_banded(
-            band[:n - pin, pin:], load[pin:], overwrite_ab=True, lower=True,
-            check_finite=False,
-        )
-        if singular:
-            # Each block's column means, summed along contiguous rows as for
-            # a single column.
-            XT = X.T.reshape(-1, blocks, size)
-            XT -= XT.mean(axis=-1, keepdims=True)
+        factor = (scipy.linalg.cholesky_banded(
+            band[:n - pin, pin:], overwrite_ab=True, lower=True,
+            check_finite=False), True)
+
+        def solve(load):
+            x = np.zeros_like(X)
+            if singular:
+                load = load.copy()
+                load[::size] = 0.0
+            x[pin:] = scipy.linalg.cho_solve_banded(factor, load[pin:],
+                                                    check_finite=False)
+            if singular:
+                # Each block's column means, summed along contiguous rows
+                # as for a single column.
+                xT = x.T.reshape(-1, blocks, size)
+                xT -= xT.mean(axis=-1, keepdims=True)
+            return x
+
+        X = solve(rhs)
         res = _residual(A, X, rhs, blocks)
-        if not np.isfinite(res):
+        if res > settings.tolerance:
+            X += solve(rhs - _product(A, X).T)
+            res = _residual(A, X, rhs, blocks)
+        if not res <= settings.tolerance:
             raise ConvergenceError(
-                f"banded solve gave a non-finite residual ({res})", residual=res)
+                f"banded solve missed tolerance {settings.tolerance:.0e} after "
+                f"one refinement step (residual {res:.3e})", residual=res)
         return X.reshape(np.shape(B)), res
     M = _multigrid(A, grid, singular)
     # CG stops at |r| <= rtol |rhs|: relative to the smallest nonzero block

@@ -26,17 +26,17 @@ def solver_settings(monkeypatch):
 
 @pytest.fixture
 def banded_calls(monkeypatch):
-    """A list that gains one entry per banded Cholesky solve (one
-    factorization each) made in this process for the rest of one test: the
+    """A list that gains one entry per banded Cholesky factorization (one
+    per banded solve) made in this process for the rest of one test: the
     shape (b + 1, unknowns) of the band handed to LAPACK."""
     calls = []
-    solveh_banded = scipy.linalg.solveh_banded
+    cholesky_banded = scipy.linalg.cholesky_banded
 
     def counted(band, *args, **kwargs):
         calls.append(np.shape(band))
-        return solveh_banded(band, *args, **kwargs)
+        return cholesky_banded(band, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "solveh_banded", counted)
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", counted)
     return calls
 
 

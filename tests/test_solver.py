@@ -23,9 +23,10 @@ from cgflow.coarse import coarse_pair, j_functional, level_pairs
 from cgflow.errors import ConvergenceError, PreconditionError
 from cgflow.solver import (
     DEFAULT_SETTINGS,
+    _coarsen,
     _product,
-    _prolongation,
     _reference_grad_integrals,
+    _stencil_matrix,
     banded_cost,
     stack_level,
 )
@@ -228,7 +229,7 @@ def test_level0_stack_dirichlet_is_the_affine_data():
 
 def kron_prolongation(grid, singular):
     """P as the Kronecker product of the 1d interpolations, through scipy's
-    COO kron: the oracle for _prolongation's direct CSR arrays."""
+    COO kron: the oracle for _coarsen's P and Galerkin stencils."""
     side = grid[1] - 1 if singular else grid[1] + 1
     fine = np.arange(side + 1)
     coarse, r = np.divmod(fine, 3)
@@ -246,22 +247,83 @@ def kron_prolongation(grid, singular):
     return P
 
 
-@pytest.mark.parametrize("d, side, blocks", [(1, 27, 2), (2, 9, 1), (2, 27, 3),
-                                             (3, 9, 2), (3, 27, 1)])
-@pytest.mark.parametrize("singular", [False, True], ids=["dirichlet", "neumann"])
-def test_prolongation_matches_kronecker_product(d, side, blocks, singular):
-    # The same entries in the same order within each row, with 32-bit
-    # indices, so products with P and P^T give the same bits.
-    grid = (blocks,) + (side + 1 if singular else side - 1,) * d
-    P, R, coarse = _prolongation(grid, singular)
-    ref = kron_prolongation(grid, singular)
-    assert P.shape == ref.shape
-    assert coarse == (blocks,) + (side // 3 + 1 if singular else side // 3 - 1,) * d
-    np.testing.assert_array_equal(P.indptr, ref.indptr)
-    np.testing.assert_array_equal(P.indices, ref.indices)
-    np.testing.assert_array_equal(P.data, ref.data)
-    assert P.indices.dtype == P.indptr.dtype == np.int32
-    np.testing.assert_array_equal(R.toarray(), ref.T.toarray())
+def recorded_coarsenings(monkeypatch):
+    """A list that gains (stencil, grid, singular, result) for every
+    _coarsen call made for the rest of one test."""
+    calls = []
+
+    def recorded(stencil, grid, singular):
+        result = _coarsen(stencil, grid, singular)
+        calls.append((stencil, grid, singular, result))
+        return result
+
+    monkeypatch.setattr(solver, "_coarsen", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("d, m, level", [(2, 3, None), (2, 4, None), (3, 2, None),
+                                         (2, 3, 2)],
+                         ids=["2d-L3", "2d-L4", "3d-L2", "2d-L3-level2"])
+@pytest.mark.parametrize("laminate", [False, True], ids=["two-phase", "laminate"])
+def test_coarse_stencils_are_galerkin_products(solver_settings, monkeypatch,
+                                               d, m, level, laminate):
+    # Every level of both hierarchies: P is the Kronecker product of the 1d
+    # interpolations, and the coarse stencil's DIA matrix is P^T A P for
+    # the fine level's, Dirichlet boundary couplings dropped, down to cubes
+    # of side 3.  The hierarchies are built before CG starts, so a loose
+    # tolerance keeps the solves short.
+    f = laminate_field(d, m) if laminate else two_phase_field(d, m, 100.0, seed=21)
+    calls = recorded_coarsenings(monkeypatch)
+    solver_settings(direct_cost_cap=0, tolerance=1.0)
+    op = CubeOperator(f, f.cube, level)
+    op.solve_dirichlet(np.eye(d)[0])
+    op.solve_neumann(np.eye(d)[0])
+    levels = (m if level is None else level) - 1
+    singulars = [singular for _, _, singular, _ in calls]
+    assert singulars == [False] * levels + [True] * levels
+    for k, (stencil, grid, singular, (coarse, coarse_grid, P)) in enumerate(calls):
+        # Cubes of side 3^(levels + 1 - k % levels), coarsened to a third.
+        side = 3 ** (levels + 1 - k % levels)
+        width, coarse_width = (side + 1, side // 3 + 1) if singular else (side - 1, side // 3 - 1)
+        assert grid == (op.blocks,) + (width,) * d
+        assert coarse_grid == (op.blocks,) + (coarse_width,) * d
+        if k % levels:
+            np.testing.assert_array_equal(stencil, calls[k - 1][3][0])
+        ref = kron_prolongation(grid, singular)
+        assert P.shape == ref.shape and abs(P - ref).max() <= 1e-15
+        galerkin = ref.T @ _stencil_matrix(stencil, grid) @ ref
+        A = _stencil_matrix(coarse, coarse_grid)
+        assert abs(A - galerkin).max() <= 1e-14 * abs(galerkin).max()
+
+
+@pytest.mark.parametrize("d, m, cells", [(2, 2, "two-phase"), (3, 1, "two-phase"),
+                                         (3, 2, "two-phase"), (2, 3, "laminate"),
+                                         (2, 2, "lognormal")])
+def test_coarse_stencil_of_a_repeated_field_is_its_stencil(solver_settings,
+                                                           monkeypatch, d, m, cells):
+    # The Q1 spaces are nested under 3:1 coarsening: on a field whose cells
+    # are each repeated 3 times per axis, Galerkin coarsening gives 3^(d-2)
+    # times the unrepeated field's stiffness (the energy of u(x/3)), on the
+    # whole lattice (Neumann) and among the interior nodes (Dirichlet).
+    f = {"two-phase": lambda: two_phase_field(d, m, 1e4, seed=5),
+         "laminate": lambda: laminate_field(d, m),
+         "lognormal": lambda: lognormal_field(d, m, seed=5, sigma=2.0)}[cells]()
+    repeated = f.cells
+    for a in range(d):
+        repeated = np.repeat(repeated, 3, axis=a)
+    g = CoefficientField(d, m + 1, repeated)
+    calls = recorded_coarsenings(monkeypatch)
+    solver_settings(direct_cost_cap=0, tolerance=1.0)
+    op = CubeOperator(g, g.cube)
+    op.solve_dirichlet(np.eye(d)[0])
+    op.solve_neumann(np.eye(d)[0])
+    first = {singular: result for _, _, singular, result in reversed(calls)}
+    unrepeated = CubeOperator(f, f.cube)
+    stiffness, inner = unrepeated.stiffness.tocsr(), ~unrepeated.boundary
+    for singular, ref in ((False, stiffness[inner][:, inner]), (True, stiffness)):
+        coarse, grid, _ = first[singular]
+        A = _stencil_matrix(coarse, grid)
+        assert abs(A - 3.0 ** (d - 2) * ref).max() <= 1e-14 * abs(ref).max()
 
 
 def test_subcube_operator_uses_local_coordinates():
@@ -472,6 +534,30 @@ def test_columnwise_product_matches_block_product(d, m, level):
     for block in (X, np.asfortranarray(X), X[:, :1]):
         np.testing.assert_allclose(_product(K, block), (K @ block).T, rtol=0, atol=atol)
     np.testing.assert_allclose(_product(K, X[:, 0]), (K @ X[:, 0])[None], rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_banded_solves_meet_the_tolerance_at_high_contrast(banded_calls, seed):
+    # At contrast 1e4 the pinned Neumann factor alone leaves true residuals
+    # of 0.55-1.4e-9 at 2d L4; one refinement step on the same factor
+    # brings them to about 5e-12.
+    f = two_phase_field(2, 4, 1e4, seed)
+    op = CubeOperator(f, f.cube)
+    for solve in (op.solve_dirichlet, op.solve_neumann):
+        assert solve(np.eye(2)).residual <= DEFAULT_SETTINGS.tolerance
+    assert len(banded_calls) == 2
+
+
+def test_banded_solve_that_misses_tolerance_raises_with_residual(solver_settings,
+                                                                 banded_calls):
+    f = lognormal_field(2, 2, seed=4)
+    settings = solver_settings(tolerance=1e-20)
+    op = CubeOperator(f, f.cube)
+    for solve in (op.solve_dirichlet, op.solve_neumann):
+        with pytest.raises(ConvergenceError) as info:
+            solve(np.eye(2))
+        assert settings.tolerance < info.value.residual < 1e-12
+    assert len(banded_calls) == 2
 
 
 def test_huge_cells_give_finite_residuals():
@@ -714,6 +800,7 @@ def test_smoother_weight_keeps_every_level_in_the_l1_bound(solver_settings,
     assert all(levels for levels in smoothed)
     for levels in smoothed:
         for A, smoother, *_ in levels:
+            assert isinstance(A, scipy.sparse.dia_array)
             A = A.toarray()
             D = np.abs(A).sum(axis=1)
             np.testing.assert_allclose(smoother, omega / D, rtol=1e-14)
@@ -743,6 +830,26 @@ def test_multigrid_iterations_do_not_grow_with_level(solver_settings, cg_runs):
     assert max(top) <= 26
     for kind in (slice(0, 3), slice(3, 6)):
         assert max(top[kind]) <= 1.5 * max(below[kind])
+
+
+def test_2d_multigrid_iterations_do_not_grow_with_level(solver_settings, cg_runs):
+    # Contrast 100, every level on CG: at most 35 / 55 iterations per
+    # column (Dirichlet / Neumann) at 2d L3 and 51 / 68 at L4 with the
+    # weighted smoother, so L4 takes at most 1.5 times the count at L3.
+    solver_settings(direct_cost_cap=0)
+    counts = []
+    for m in (3, 4):
+        cg_runs.clear()
+        f = two_phase_field(2, m, 100.0, seed=1)
+        op = CubeOperator(f, f.cube)
+        op.solve_dirichlet(np.eye(2))
+        op.solve_neumann(np.eye(2))
+        assert len(cg_runs) == 4
+        counts.append([max(run.iterations for run in cg_runs[kind])
+                       for kind in (slice(0, 2), slice(2, 4))])
+    assert counts[1][0] <= 53 and counts[1][1] <= 70
+    for below, top in zip(*counts):
+        assert top <= 1.5 * below
 
 
 @pytest.mark.parametrize("d, m", [(2, 3), (3, 2)])
