@@ -58,6 +58,13 @@ PCG_RESTARTS = 3
 #: again from 1.9 at 3d L3.
 SMOOTHER_WEIGHT = 1.7
 
+#: Fine rows per tile of the 1d interpolation P1 in the grid transfers.  27
+#: rows touch at most 10 coarse nodes, so a tile's dense GEMM does at most 5
+#: times the work of P1's 2 entries per row; an untiled P1 does w_c / 2
+#: times (122 at 2d L6, where it is slower than a sparse P), and narrower
+#: tiles call BLAS more often for less work each.
+TRANSFER_TILE = 27
+
 
 def banded_cost(d: int, level: int) -> int:
     """Cost m (b + 1)^2 of the banded Neumann solve of one level-`level`
@@ -155,12 +162,17 @@ def _coarsen(stencil: np.ndarray, grid, singular: bool):
     (3^d, nodes) stencil `stencil` (_stencil_matrix) on the node lattice
     `grid` = (blocks, w, ..., w) of cubes of side s, w = s - 1 interior
     nodes (Dirichlet) or w = s + 1 nodes (`singular`, Neumann) per axis;
-    returns the stencil of P^T A P, the coarse lattice and P (CSR).
+    returns the stencil of P^T A P, the coarse lattice and the row tiles of
+    P1 that _transfer applies P with.
 
     P = I_blocks (x) P1 (x) ... (x) P1: the 1d Q1 interpolation P1 gives
     fine node i weight 1 - |i - 3I|/3 from coarse node I, both counted from
     the cube's corner, and the Dirichlet lattices leave out the boundary
-    nodes of both.  P^T A P couples each coarse node only to its 3^d
+    nodes of both.  P is never formed.  The tiles are (rows, cols, block)
+    with block = P1[rows, cols]: TRANSFER_TILE fine rows each, a trailing
+    single row joined to the tile before it (its one coarse node is in that
+    tile's window already), and cols the window of coarse nodes the rows
+    touch.  P^T A P couples each coarse node only to its 3^d
     neighbours: S_c[O, J] = sum over (o, j) of P[j - o, J - O] P[j, J]
     S[o, j] contracts each axis's (offset, node) pair with K[(O, J), (o, j)]
     = P1[j, J] P1[j - o, J - O], P1 being 0 at a node off either lattice,
@@ -173,13 +185,18 @@ def _coarsen(stencil: np.ndarray, grid, singular: bool):
         on = (i >= 0) & (i < w) & (I >= 0) & (I < w_c)
         return np.where(on, np.maximum(1 - abs(i - 3 * I - 2 * cut) / 3, 0), 0.0)
 
+    # Each fine node's two nearest coarse nodes I (one of weight 0 where
+    # they coincide, or off the coarse lattice next to its boundary).
     i = np.arange(w)[:, None]
-    P = reduce(partial(scipy.sparse.kron, format="csr"),
-               [scipy.sparse.csr_array(p1(i, np.arange(w_c)))] * d,
-               scipy.sparse.identity(grid[0], format="csr"))
-    # K's entries from each fine node's two nearest coarse nodes I (one of
-    # weight 0 where they coincide), offsets O and o on the first two axes.
     I = (i + cut) // 3 - cut + np.arange(2)
+    starts = range(0, w - 1, TRANSFER_TILE)
+    tiles = []
+    for start, stop in zip(starts, [*starts[1:], w]):
+        lo, hi = int(max(I[start, 0], 0)), int(min(I[stop - 1, 1], w_c - 1)) + 1
+        tiles.append((slice(start, stop), slice(lo, hi),
+                      p1(i[start:stop], np.arange(lo, hi))))
+    # K's entries from the two nearest coarse nodes, offsets O and o on the
+    # first two axes.
     O, o = np.arange(-1, 2)[:, None, None, None], np.arange(-1, 2)[:, None, None]
     rows, cols, values = np.broadcast_arrays((O + 1) * w_c + I, (o + 1) * w + i,
                                              p1(i, I) * p1(i - o, I - O))
@@ -194,7 +211,43 @@ def _coarsen(stencil: np.ndarray, grid, singular: bool):
         X = (K @ X.reshape(3 * w, -1)).T
     X = X.reshape((grid[0],) + (3, w_c) * d).transpose(
         list(range(1, 2 * d, 2)) + list(range(0, 2 * d + 1, 2)))
-    return X.reshape(3 ** d, -1), (grid[0],) + (w_c,) * d, P
+    return X.reshape(3 ** d, -1), (grid[0],) + (w_c,) * d, tiles
+
+
+def _transfer(tiles, x, grid, restrict: bool):
+    """P^T x (`restrict`: x on the fine node lattice `grid` = (blocks, w,
+    ..., w)) or P x (x on the coarse lattice), for the P of _coarsen given
+    by P1's row tiles.  P1 is applied along one node axis at a time (sum
+    factorization), x viewed as (before, axis, after): one GEMM per tile,
+    whose products fill the fine rows or, restricting, are added into the
+    coarse windows, which overlap by a node.  On the last axis (after = 1)
+    the GEMM is 2d, x[:, cols] @ block^T; its long rows are strided, so it
+    runs where x is smallest: restriction goes from the first node axis to
+    the last, prolongation from the last to the first.  A single tile is
+    the whole P1, its product the result."""
+    w_c = tiles[-1][1].stop
+    shape = list(grid) if restrict else [grid[0]] + [w_c] * (len(grid) - 1)
+
+    def gemm(block, y):
+        if y.shape[2] == 1:
+            return (y[:, :, 0] @ block.T)[:, :, None]
+        return np.matmul(block, y)
+
+    for axis in range(1, len(grid)) if restrict else range(len(grid) - 1, 0, -1):
+        x = x.reshape(math.prod(shape[:axis]), shape[axis], -1)
+        shape[axis] = w_c if restrict else grid[axis]
+        if len(tiles) == 1:
+            block = tiles[0][2]
+            x = gemm(block.T if restrict else block, x)
+            continue
+        out = (np.zeros if restrict else np.empty)((len(x), shape[axis], x.shape[2]))
+        for rows, cols, block in tiles:
+            if restrict:
+                out[:, cols] += gemm(block.T, x[:, rows])
+            else:
+                out[:, rows] = gemm(block, x[:, cols])
+        x = out
+    return x.reshape(-1)
 
 
 def _multigrid(A, grid, singular: bool):
@@ -203,9 +256,11 @@ def _multigrid(A, grid, singular: bool):
     above the direct cost cap.
 
     Each level coarsens 3:1 per axis (_coarsen) until the cubes have side
-    3, each level the DIA matrix of its Galerkin stencil P^T A P.  The
-    smoother is over-relaxed l1-Jacobi, S = omega D^{-1}
-    with D the row sums of |A| and omega = SMOOTHER_WEIGHT (Baker, Falgout,
+    3, each level the DIA matrix of its Galerkin stencil P^T A P.  A level
+    keeps that matrix, its smoother and the row tiles of P1 that _transfer
+    applies P and P^T with; P itself is never formed.  The smoother is
+    over-relaxed l1-Jacobi, S = omega D^{-1} with D the row sums of |A|
+    and omega = SMOOTHER_WEIGHT (Baker, Falgout,
     Kolev & Yang, SIAM J. Sci. Comput. 2011): D - A is symmetric, weakly
     diagonally dominant and has a nonnegative diagonal, so A <= D, and
     2D/omega - A >= (2/omega - 1) D is positive definite for every omega
@@ -221,8 +276,9 @@ def _multigrid(A, grid, singular: bool):
     while side > 3:
         d_inv = SMOOTHER_WEIGHT / abs(A).sum(axis=1)
         # At least 8 nodes wide, A's data is its stencil (_stencil_matrix).
-        stencil, grid, P = _coarsen(A.data, grid, singular)
-        levels.append((A, d_inv, P))
+        stencil, coarse_grid, tiles = _coarsen(A.data, grid, singular)
+        levels.append((A, d_inv, tiles, grid))
+        grid = coarse_grid
         A = _stencil_matrix(stencil, grid)
         side //= 3
     # Each block's dense matrix from one product with stacked unit vectors.
@@ -248,16 +304,17 @@ def _multigrid(A, grid, singular: bool):
 
 def _v_cycle(levels, inverse, b, k=0):
     """One V-cycle of _multigrid from level k: `levels` holds (A, the
-    smoother omega D^{-1}, P) per level above the coarsest, whose blocks'
-    dense inverses are `inverse`.  A module function, not a closure over
+    smoother omega D^{-1}, P1's row tiles, the node lattice) per level
+    above the coarsest, whose blocks' dense inverses are `inverse`.  A module function, not a closure over
     itself, so that a finished solve's hierarchy is freed at once instead
     of by the cycle collector."""
     if k == len(levels):
         return (inverse @ b.reshape(inverse.shape[:2] + (1,))).reshape(-1)
-    A, d_inv, P = levels[k]
+    A, d_inv, tiles, grid = levels[k]
     x = d_inv * b
     r = b - A @ x
-    e = P @ _v_cycle(levels, inverse, P.T @ r, k + 1)
+    coarse = _v_cycle(levels, inverse, _transfer(tiles, r, grid, True), k + 1)
+    e = _transfer(tiles, coarse, grid, False)
     x += e
     x += d_inv * (r - A @ e)
     return x
@@ -284,7 +341,8 @@ def _solve_spd(A, grid, B, singular: bool = False):
     call) runs column by column, restarted from its iterate up to
     PCG_RESTARTS times while the true residual misses `tolerance`.  A solve
     that still misses it, or whose residual is not finite, raises
-    ConvergenceError.  Zero columns give zero solutions.  The settings are
+    ConvergenceError, as does a banded factorization that fails (residual
+    NaN).  Zero columns give zero solutions.  The settings are
     read at call time."""
     settings = DEFAULT_SETTINGS
     blocks, n = grid[0], A.shape[0]
@@ -316,9 +374,14 @@ def _solve_spd(A, grid, B, singular: bool = False):
         # gets at most as many band rows as unknowns (a 1d unit cell leaves
         # one).
         pin = 1 if singular else 0
-        factor = (scipy.linalg.cholesky_banded(
-            band[:n - pin, pin:], overwrite_ab=True, lower=True,
-            check_finite=False), True)
+        try:
+            factor = (scipy.linalg.cholesky_banded(
+                band[:n - pin, pin:], overwrite_ab=True, lower=True,
+                check_finite=False), True)
+        except np.linalg.LinAlgError as exc:
+            # The band lost positive definiteness in floating point.
+            raise ConvergenceError(f"banded Cholesky factorization failed: {exc}",
+                                   residual=math.nan) from exc
 
         def solve(load):
             x = np.zeros_like(X)

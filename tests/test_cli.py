@@ -181,6 +181,31 @@ def test_flow_reliability_failure_is_exit_3(tmp_path, capsys, solver_settings):
     assert err["message"].startswith("4 of 4 samples aborted")
 
 
+# Contrast 1e32: the level-3 band loses positive definiteness in floating
+# point.
+HUGE_CONTRAST = {
+    "kind": "two_phase_iid",
+    "params": {"prob_hi": 0.5, "sigma_hi": 1e16, "sigma_lo": 1e-16},
+    "seed": 1,
+}
+
+
+@pytest.mark.parametrize("command, config, error", [
+    ("coarse-grain", {"dimension": 2, "level": 3, "ensemble": HUGE_CONTRAST},
+     "ConvergenceError"),
+    ("flow", {"dimension": 2, "max_level": 3, "samples": 4, "ensemble": HUGE_CONTRAST},
+     "ReliabilityError"),
+])
+def test_failed_banded_factorization_is_exit_3(tmp_path, capsys, command, config, error):
+    # A failed factorization aborts the pair, or the flow sample, as a
+    # solver failure: exit 3 and one JSON line, not a traceback.
+    cfg = write_config(tmp_path, "c.json", config)
+    assert main([command, "--config", cfg, "--threads", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == error
+
+
 CONSTANTS_2D = {
     "dimension": 2,
     "ensemble": {"kind": "constant", "params": {"value": 1.0}},

@@ -27,6 +27,7 @@ from cgflow.solver import (
     _product,
     _reference_grad_integrals,
     _stencil_matrix,
+    _transfer,
     banded_cost,
     stack_level,
 )
@@ -229,7 +230,7 @@ def test_level0_stack_dirichlet_is_the_affine_data():
 
 def kron_prolongation(grid, singular):
     """P as the Kronecker product of the 1d interpolations, through scipy's
-    COO kron: the oracle for _coarsen's P and Galerkin stencils."""
+    COO kron: the oracle for the transfers and the Galerkin stencils."""
     side = grid[1] - 1 if singular else grid[1] + 1
     fine = np.arange(side + 1)
     coarse, r = np.divmod(fine, 3)
@@ -247,6 +248,29 @@ def kron_prolongation(grid, singular):
     return P
 
 
+def assert_transfers_match(tiles, grid, P):
+    """_transfer's prolongation and restriction on the fine lattice `grid`
+    equal the oracle P and its transpose to 1e-15 relative: column by
+    column where P would take at most 16 MB dense, on 3 random vectors
+    above that."""
+    n_f, n_c = P.shape
+    if n_f * n_c <= 2e6:
+        pairs = [(np.column_stack([_transfer(tiles, np.eye(1, n_c, j)[0], grid, False)
+                                   for j in range(n_c)]), P.toarray()),
+                 (np.column_stack([_transfer(tiles, np.eye(1, n_f, j)[0], grid, True)
+                                   for j in range(n_f)]), P.T.toarray())]
+    else:
+        rng = np.random.default_rng(0)
+        pairs = []
+        for _ in range(3):
+            v, r = rng.standard_normal(n_c), rng.standard_normal(n_f)
+            pairs += [(_transfer(tiles, v, grid, False), P @ v),
+                      (_transfer(tiles, r, grid, True), P.T @ r)]
+    for ours, oracle in pairs:
+        assert ours.shape == oracle.shape
+        assert np.abs(ours - oracle).max() <= 1e-15 * np.abs(oracle).max()
+
+
 def recorded_coarsenings(monkeypatch):
     """A list that gains (stencil, grid, singular, result) for every
     _coarsen call made for the rest of one test."""
@@ -261,17 +285,20 @@ def recorded_coarsenings(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("d, m, level", [(2, 3, None), (2, 4, None), (3, 2, None),
+@pytest.mark.parametrize("d, m, level", [(1, 7, None), (1, 7, 6), (2, 3, None),
+                                         (2, 4, None), (3, 2, None), (3, 3, None),
                                          (2, 3, 2)],
-                         ids=["2d-L3", "2d-L4", "3d-L2", "2d-L3-level2"])
+                         ids=["1d-L7", "1d-L7-level6", "2d-L3", "2d-L4", "3d-L2",
+                              "3d-L3", "2d-L3-level2"])
 @pytest.mark.parametrize("laminate", [False, True], ids=["two-phase", "laminate"])
 def test_coarse_stencils_are_galerkin_products(solver_settings, monkeypatch,
                                                d, m, level, laminate):
-    # Every level of both hierarchies: P is the Kronecker product of the 1d
-    # interpolations, and the coarse stencil's DIA matrix is P^T A P for
-    # the fine level's, Dirichlet boundary couplings dropped, down to cubes
-    # of side 3.  The hierarchies are built before CG starts, so a loose
-    # tolerance keeps the solves short.
+    # Every level of both hierarchies: the transfers apply the Kronecker
+    # product P of the 1d interpolations and its transpose (1 to 81 tiles
+    # per axis in 1d, 1 to 3 in 2d and 3d), and the coarse stencil's DIA
+    # matrix is P^T A P for the fine level's, Dirichlet boundary couplings
+    # dropped, down to cubes of side 3.  The hierarchies are built before
+    # CG starts, so a loose tolerance keeps the solves short.
     f = laminate_field(d, m) if laminate else two_phase_field(d, m, 100.0, seed=21)
     calls = recorded_coarsenings(monkeypatch)
     solver_settings(direct_cost_cap=0, tolerance=1.0)
@@ -281,7 +308,7 @@ def test_coarse_stencils_are_galerkin_products(solver_settings, monkeypatch,
     levels = (m if level is None else level) - 1
     singulars = [singular for _, _, singular, _ in calls]
     assert singulars == [False] * levels + [True] * levels
-    for k, (stencil, grid, singular, (coarse, coarse_grid, P)) in enumerate(calls):
+    for k, (stencil, grid, singular, (coarse, coarse_grid, tiles)) in enumerate(calls):
         # Cubes of side 3^(levels + 1 - k % levels), coarsened to a third.
         side = 3 ** (levels + 1 - k % levels)
         width, coarse_width = (side + 1, side // 3 + 1) if singular else (side - 1, side // 3 - 1)
@@ -290,7 +317,7 @@ def test_coarse_stencils_are_galerkin_products(solver_settings, monkeypatch,
         if k % levels:
             np.testing.assert_array_equal(stencil, calls[k - 1][3][0])
         ref = kron_prolongation(grid, singular)
-        assert P.shape == ref.shape and abs(P - ref).max() <= 1e-15
+        assert_transfers_match(tiles, grid, ref)
         galerkin = ref.T @ _stencil_matrix(stencil, grid) @ ref
         A = _stencil_matrix(coarse, coarse_grid)
         assert abs(A - galerkin).max() <= 1e-14 * abs(galerkin).max()
@@ -582,6 +609,16 @@ def test_overflowing_solution_raises_convergence_error():
     assert math.isnan(info.value.residual)
 
 
+def test_failed_banded_factorization_raises_convergence_error():
+    # Cells of 1e16 and 1e-16: the band loses positive definiteness in
+    # floating point, and LAPACK's refusal to factor it is a solver failure
+    # with a NaN residual.
+    f = two_phase_field(2, 3, 1e32, seed=1)
+    with pytest.raises(ConvergenceError) as info:
+        level_pairs(f, f.cube, 3)
+    assert math.isnan(info.value.residual)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_pcg_meets_its_tolerance_or_raises(solver_settings, seed):
     # At contrast 1e4 a tolerance of 1e-12 is near the attainable accuracy
@@ -867,3 +904,16 @@ def test_laminate_oracle_on_the_pcg_path(solver_settings, banded_calls, cg_runs,
         assert a[0, i, i] == pytest.approx(1.0, rel=1e-8)
         assert a_star_inv[0, i, i] == pytest.approx(1.0, rel=1e-8)
     assert banded_calls == [] and len(cg_runs) >= 2 * d
+
+
+def test_1d_harmonic_mean_oracle_on_the_pcg_path(solver_settings, banded_calls, cg_runs):
+    # In 1d, a = a_* is the harmonic mean of the cells.  At level 5 the
+    # hierarchy has one node axis, 244 nodes wide at the top (9 transfer
+    # tiles).
+    f = two_phase_field(1, 5, 100.0, seed=22)
+    solver_settings(direct_cost_cap=0)
+    a, _, a_star_inv, _ = level_pairs(f, f.cube, 5)
+    mean_inverse = np.mean(1 / f.cells[:, 0, 0])
+    assert a[0, 0, 0] == pytest.approx(1 / mean_inverse, rel=1e-9)
+    assert a_star_inv[0, 0, 0] == pytest.approx(mean_inverse, rel=1e-9)
+    assert banded_calls == [] and len(cg_runs) >= 2
