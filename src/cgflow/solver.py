@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -38,20 +38,18 @@ class SolverSettings:
     at or below `direct_cost_cap`; its band takes (b + 1) m floats.  The cap
     of 5e9 puts every 2d cube up to level 5 (3.6e9) and every 3d cube up to
     level 2 on the banded path; 3d level 3 (1.45e10, a 143 MB band) and 2d
-    level 6 go to CG preconditioned by a multigrid V-cycle, which runs to
-    true relative residual `tolerance` within max_iter_factor * unknowns
-    iterations per run."""
+    level 6 go to CG preconditioned by a multigrid V-cycle.  Either path
+    runs to true relative residual `tolerance`."""
 
     tolerance: float = 1e-10
-    max_iter_factor: int = 10
     direct_cost_cap: float = 5e9
 
 
 DEFAULT_SETTINGS = SolverSettings()
 
-#: Further PCG runs, each from the last iterate, for a column whose true
-#: residual misses the tolerance after its first run.
-PCG_RESTARTS = 3
+#: Further corrections, each solved for the true residual of the last, of
+#: the columns whose residual misses the tolerance after the first solve.
+REFINEMENTS = 3
 
 #: Weight of the multigrid's l1-Jacobi smoother, omega D^{-1}: any omega
 #: in (0, 2) keeps the V-cycle SPD; counts fall up to 1.7-1.8 and rise
@@ -136,17 +134,15 @@ def _product(A, X) -> np.ndarray:
     return np.stack([A @ x for x in np.reshape(X, (len(X), -1)).T])
 
 
-def _residual(A, X, rhs, blocks: int) -> float:
-    """Worst true relative residual |A X - rhs| / |rhs| over the columns and
-    the `blocks` equal diagonal blocks, each block's relative to its own
-    part of rhs (0 where that part is zero); NaN if A X - rhs is not finite.
-    Both parts are scaled by the largest entry of the rhs part before their
-    norms are taken, so that the norms do not overflow.  The norms are taken
-    column by column, along contiguous rows."""
-    rhs = np.reshape(rhs, (len(rhs), -1)).T
-    r = _product(A, X) - rhs
-    if not np.isfinite(r).all():
-        return math.nan
+def _residual(r, rhs, blocks: int) -> np.ndarray:
+    """True relative residual of each row of r = rhs - A X (rows: one
+    column each, for the `blocks` equal diagonal blocks of A): the worst
+    block's |r| / |rhs|, each relative to its own part of the rhs row (0
+    where that part is zero), NaN where r is not finite.  Both parts are
+    scaled by the largest entry of the rhs part before their norms are
+    taken, so that the norms do not overflow; the norms run along
+    contiguous rows."""
+    finite = np.isfinite(r).all(axis=-1)
     r = r.reshape(len(r), blocks, -1)
     part = np.ascontiguousarray(rhs).reshape(r.shape)
     scale = np.abs(part).max(axis=-1, keepdims=True)
@@ -154,7 +150,8 @@ def _residual(A, X, rhs, blocks: int) -> float:
     scale[scale == 0] = 1.0
     r_norm = np.linalg.norm(r / scale, axis=-1)
     part_norm = np.linalg.norm(part / scale, axis=-1)
-    return float(np.max(r_norm[live] / part_norm[live], initial=0.0))
+    ratio = np.divide(r_norm, part_norm, out=np.zeros_like(r_norm), where=live)
+    return np.where(finite, ratio.max(axis=-1), math.nan)
 
 
 def _coarsen(stencil: np.ndarray, grid, singular: bool):
@@ -332,27 +329,24 @@ def _solve_spd(A, grid, B, singular: bool = False):
     semidefinite with the constants as kernel, and each block's part of each
     column of B sums to zero; the columns of X are the solutions of zero mean
     on every block.  Within `direct_cost_cap` one banded Cholesky factor
-    covers all blocks and columns: LAPACK's lower band, band[i - j, j] =
-    A[i, j], is copied from A's diagonals at steps >= 0, each shifted left
-    by its step, and when singular the first node of every block is pinned
-    by a zero band column with a unit diagonal.  A solve whose true residual misses `tolerance` takes one
-    step of iterative refinement on the same factor.  Above the cap CG
-    preconditioned by one multigrid V-cycle (_multigrid, built once per
-    call) runs column by column, restarted from its iterate up to
-    PCG_RESTARTS times while the true residual misses `tolerance`.  A solve
-    that still misses it, or whose residual is not finite, raises
-    ConvergenceError, as does a banded factorization that fails (residual
-    NaN).  Zero columns give zero solutions.  The settings are
+    (LAPACK's dpbtrf) covers all blocks and columns, the first node of every
+    block pinned when singular; above it CG preconditioned by one multigrid
+    V-cycle (_multigrid, built once per call) runs column by column.  Either
+    backend only solves for a correction from the true residual B - A X, and
+    the columns that miss `tolerance` are corrected again, up to REFINEMENTS
+    times.  A solve that still misses it, or whose residual is not finite,
+    raises ConvergenceError, as does a banded factorization that fails
+    (residual NaN).  Zero columns give zero solutions.  The settings are
     read at call time."""
     settings = DEFAULT_SETTINGS
     blocks, n = grid[0], A.shape[0]
     size = n // blocks
     rhs = np.reshape(B, (n, -1))
-    # Column by column (Fortran order), as LAPACK returns it.
-    X = np.zeros(rhs.shape[::-1]).T
-    live = np.flatnonzero(rhs.any(axis=0))
-    if live.size == 0:
-        return X.reshape(np.shape(B)), 0.0
+    rows = rhs.T  # one per column: X, residuals and norms run along rows
+    X = np.zeros(rows.shape)
+    miss = np.flatnonzero(rows.any(axis=1))
+    if miss.size == 0:
+        return X.T.reshape(np.shape(B)), 0.0
     b = int(A.offsets.max())
     unknowns = n - blocks if singular else n
     if unknowns * (b + 1) ** 2 <= settings.direct_cost_cap:
@@ -374,68 +368,55 @@ def _solve_spd(A, grid, B, singular: bool = False):
         # gets at most as many band rows as unknowns (a 1d unit cell leaves
         # one).
         pin = 1 if singular else 0
-        try:
-            factor = (scipy.linalg.cholesky_banded(
-                band[:n - pin, pin:], overwrite_ab=True, lower=True,
-                check_finite=False), True)
-        except np.linalg.LinAlgError as exc:
+        factor, info = scipy.linalg.lapack.dpbtrf(band[:n - pin, pin:], lower=1,
+                                                  overwrite_ab=1)
+        if info > 0:
             # The band lost positive definiteness in floating point.
-            raise ConvergenceError(f"banded Cholesky factorization failed: {exc}",
-                                   residual=math.nan) from exc
+            raise ConvergenceError(f"banded Cholesky factorization failed: leading "
+                                   f"minor {info} is not positive definite",
+                                   residual=math.nan)
 
-        def solve(load):
-            x = np.zeros_like(X)
+        def correct(r, columns):
             if singular:
-                load = load.copy()
-                load[::size] = 0.0
-            x[pin:] = scipy.linalg.cho_solve_banded(factor, load[pin:],
-                                                    check_finite=False)
-            if singular:
-                # Each block's column means, summed along contiguous rows
-                # as for a single column.
-                xT = x.T.reshape(-1, blocks, size)
-                xT -= xT.mean(axis=-1, keepdims=True)
-            return x
+                r = r.copy()
+                r[:, ::size] = 0.0
+            X[columns, pin:] += scipy.linalg.lapack.dpbtrs(factor, r[:, pin:].T,
+                                                           lower=1)[0].T
+    else:
+        M = _multigrid(A, grid, singular)
+        # CG stops at |r| <= tolerance times the smallest nonzero block part
+        # of the column of B, which bounds every block's residual by its own.
+        parts = np.linalg.norm(rhs.reshape(blocks, size, -1), axis=1)
+        atols = settings.tolerance * np.min(parts, axis=0, where=parts > 0,
+                                            initial=np.inf)
 
-        X = solve(rhs)
-        res = _residual(A, X, rhs, blocks)
-        if res > settings.tolerance:
-            X += solve(rhs - _product(A, X).T)
-            res = _residual(A, X, rhs, blocks)
-        if not res <= settings.tolerance:
-            raise ConvergenceError(
-                f"banded solve missed tolerance {settings.tolerance:.0e} after "
-                f"one refinement step (residual {res:.3e})", residual=res)
-        return X.reshape(np.shape(B)), res
-    M = _multigrid(A, grid, singular)
-    # CG stops at |r| <= rtol |rhs|: relative to the smallest nonzero block
-    # part of the column, which bounds every block's residual by its own.
-    parts = np.linalg.norm(rhs.reshape(blocks, size, -1), axis=1)
-    rtols = settings.tolerance * np.min(parts, axis=0, where=parts > 0,
-                                        initial=np.inf) / np.linalg.norm(parts, axis=0)
-    res = 0.0
-    for j in live:
-        x = None
-        for _ in range(1 + PCG_RESTARTS):
-            x, info = scipy.sparse.linalg.cg(
-                A, rhs[:, j], x0=x, rtol=rtols[j], atol=0.0,
-                maxiter=settings.max_iter_factor * n, M=M,
-            )
+        def correct(r, columns):
+            for r_j, j in zip(r, columns):
+                X[j] += scipy.sparse.linalg.cg(A, r_j, rtol=0.0, atol=atols[j], M=M)[0]
+
+    res = np.zeros(len(rows))
+    # The first pass solves for B itself, uncopied when every column is live:
+    # a copy would add to the traced peak of the largest CG solves.
+    r = rows if miss.size == len(rows) else rows[miss]
+    for passes in range(1 + REFINEMENTS):
+        correct(r, miss)
+        r = rows[miss]
+        for r_j, j in zip(r, miss):
             if singular:
-                x3 = x.reshape(blocks, size)
-                x3 -= x3.mean(axis=1)[:, None]
-            res_j = _residual(A, x, rhs[:, j], blocks)
-            if info != 0 or res_j <= settings.tolerance:
-                break
-        if info != 0 or not res_j <= settings.tolerance:
-            raise ConvergenceError(
-                f"PCG missed tolerance {settings.tolerance:.0e} "
-                f"(info={info}, residual {res_j:.3e})",
-                residual=res_j,
-            )
-        X[:, j] = x
-        res = max(res, res_j)
-    return X.reshape(np.shape(B)), res
+                x = X[j].reshape(blocks, size)
+                x -= x.mean(axis=1, keepdims=True)
+            r_j -= A @ X[j]
+        res[miss] = _residual(r, rows[miss], blocks)
+        worst = float(res.max())
+        if not math.isfinite(worst):
+            break
+        still = res[miss] > settings.tolerance
+        if not still.any():
+            return X.T.reshape(np.shape(B)), worst
+        miss, r = miss[still], r[still]
+    raise ConvergenceError(
+        f"solve missed tolerance {settings.tolerance:.0e} after {passes} "
+        f"refinements (residual {worst:.3e})", residual=worst)
 
 
 @lru_cache(maxsize=None)

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse.linalg
 
 from cgflow import solver
@@ -27,16 +27,16 @@ def solver_settings(monkeypatch):
 @pytest.fixture
 def banded_calls(monkeypatch):
     """A list that gains one entry per banded Cholesky factorization (one
-    per banded solve) made in this process for the rest of one test: the
-    shape (b + 1, unknowns) of the band handed to LAPACK."""
+    per banded solve, LAPACK's dpbtrf) made in this process for the rest of
+    one test: the shape (b + 1, unknowns) of the band handed to LAPACK."""
     calls = []
-    cholesky_banded = scipy.linalg.cholesky_banded
+    dpbtrf = scipy.linalg.lapack.dpbtrf
 
     def counted(band, *args, **kwargs):
         calls.append(np.shape(band))
-        return cholesky_banded(band, *args, **kwargs)
+        return dpbtrf(band, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", counted)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", counted)
     return calls
 
 

@@ -163,9 +163,9 @@ def test_flow_oracle_in_2d_is_config_error(tmp_path, capsys):
 
 
 def test_flow_reliability_failure_is_exit_3(tmp_path, capsys, solver_settings):
-    # One CG iteration per unknown cannot reach 1e-14 at contrast 1e4: every
-    # sample aborts with a ConvergenceError.
-    solver_settings(tolerance=1e-14, max_iter_factor=1, direct_cost_cap=0)
+    # CG cannot reach a tolerance of 1e-20: every sample aborts with a
+    # ConvergenceError.
+    solver_settings(tolerance=1e-20, direct_cost_cap=0)
     cfg = write_config(tmp_path, "f.json", {
         "dimension": 1,
         "ensemble": {

@@ -160,18 +160,23 @@ def test_iterative_path_matches_direct(solver_settings, banded_calls):
     assert len(banded_calls) == 3
 
 
-def test_pcg_that_misses_tolerance_raises_with_residual(solver_settings):
-    # One iteration per unknown cannot reach 1e-14 at contrast 1e4.
+def test_pcg_that_misses_tolerance_raises_with_residual(solver_settings, cg_runs):
+    # A tolerance of 1e-20 is out of reach: each one-column solve runs CG
+    # once and then REFINEMENTS times on its residual, all runs with the
+    # solve's one preconditioner, and raises.
     spec = EnsembleSpec(
         "two_phase_iid", {"prob_hi": 0.5, "sigma_hi": 100.0, "sigma_lo": 0.01}, 3
     )
     f = generate(spec, 1, 3)
-    settings = solver_settings(tolerance=1e-14, max_iter_factor=1, direct_cost_cap=0)
+    settings = solver_settings(tolerance=1e-20, direct_cost_cap=0)
     op = CubeOperator(f, f.cube)
     for solve in (op.solve_dirichlet, op.solve_neumann):
+        cg_runs.clear()
         with pytest.raises(ConvergenceError) as info:
             solve([1.0])
         assert info.value.residual > settings.tolerance
+        assert len(cg_runs) == 1 + solver.REFINEMENTS
+        assert len({id(run.M) for run in cg_runs}) == 1
 
 
 def test_solve_v_energy_decomposition():
@@ -575,15 +580,35 @@ def test_banded_solves_meet_the_tolerance_at_high_contrast(banded_calls, seed):
     assert len(banded_calls) == 2
 
 
+def back_solves(monkeypatch) -> list:
+    """A list that gains one entry per banded back-solve (LAPACK's dpbtrs)
+    made in this process for the rest of one test."""
+    calls = []
+    dpbtrs = scipy.linalg.lapack.dpbtrs
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dpbtrs(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrs", counted)
+    return calls
+
+
 def test_banded_solve_that_misses_tolerance_raises_with_residual(solver_settings,
-                                                                 banded_calls):
+                                                                 banded_calls,
+                                                                 monkeypatch):
+    # Each solve factors once, back-solves once and then REFINEMENTS times
+    # on its residual with the same factor, and raises.
     f = lognormal_field(2, 2, seed=4)
     settings = solver_settings(tolerance=1e-20)
     op = CubeOperator(f, f.cube)
+    solves = back_solves(monkeypatch)
     for solve in (op.solve_dirichlet, op.solve_neumann):
+        solves.clear()
         with pytest.raises(ConvergenceError) as info:
             solve(np.eye(2))
         assert settings.tolerance < info.value.residual < 1e-12
+        assert len(solves) == 1 + solver.REFINEMENTS
     assert len(banded_calls) == 2
 
 
@@ -600,13 +625,16 @@ def test_huge_cells_give_finite_residuals():
     np.testing.assert_allclose(a[0] / 1e307, np.eye(2), rtol=0.0, atol=1e-12)
 
 
-def test_overflowing_solution_raises_convergence_error():
+def test_overflowing_solution_raises_convergence_error(monkeypatch):
     # Cells of 1e-300 under a flux of 1e10: the potential overflows, and its
-    # NaN residual raises instead of being returned.
+    # NaN residual raises after the first back-solve instead of being
+    # returned or refined.
     f = constant_field(2, 1, c=1e-300)
+    solves = back_solves(monkeypatch)
     with pytest.raises(ConvergenceError) as info:
         CubeOperator(f, f.cube).solve_neumann([1e10, 0.0])
     assert math.isnan(info.value.residual)
+    assert len(solves) == 1
 
 
 def test_failed_banded_factorization_raises_convergence_error():
@@ -622,8 +650,8 @@ def test_failed_banded_factorization_raises_convergence_error():
 @pytest.mark.parametrize("seed", range(6))
 def test_pcg_meets_its_tolerance_or_raises(solver_settings, seed):
     # At contrast 1e4 a tolerance of 1e-12 is near the attainable accuracy
-    # of the Neumann system; restarted PCG either reaches it or raises, and
-    # never returns a residual above it.
+    # of the Neumann system; PCG with its refinements either reaches it or
+    # raises, and never returns a residual above it.
     spec = EnsembleSpec(
         "two_phase_iid", {"prob_hi": 0.5, "sigma_hi": 100.0, "sigma_lo": 0.01}, seed
     )
@@ -788,8 +816,8 @@ def test_multigrid_preconditioner_is_symmetric_positive(solver_settings, cg_runs
     first = len(cg_runs)
     op.solve_neumann(np.eye(d)[0])
     if laminate:
-        # The laminate's Neumann column may restart; a restarted run reuses
-        # its solve's preconditioner.
+        # The laminate's Neumann column may be corrected again; a further
+        # run reuses its solve's preconditioner.
         assert first == 1 and len(cg_runs) > first
         assert len({id(run.M) for run in cg_runs}) == 2
     else:
