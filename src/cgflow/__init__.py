@@ -53,7 +53,6 @@ from .flow import (
     FlowRecord,
     HomogenizationScale,
     PigeonholeResult,
-    ScaleEstimate,
     contraction_diagnostics,
     pigeonhole_select,
     run_flow,

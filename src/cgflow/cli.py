@@ -271,7 +271,7 @@ def cmd_constants(config: dict, out_dir, threads: int, seed_override) -> int:
     if "abar_samples" in config:
         n_ab = _positive_int(config, "abar_samples", minimum=2)
         record = flow_mod.run_flow(spec, d, level, n_ab, workers=threads)
-        abar = record.estimates[level].abar * np.eye(d)
+        abar = record.abar[level] * np.eye(d)
     else:
         abar = lad.a_all[level][0]
     payload = {
@@ -554,13 +554,11 @@ def main(argv=None) -> int:
         prog="cgflow",
         description="Coarse-graining laboratory for lattice elliptic operators",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", required=True)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-        sp.add_argument("--seed", type=int, default=None)
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True)
+    parser.add_argument("--out", default=None)
+    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 
     try:

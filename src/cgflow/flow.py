@@ -17,7 +17,7 @@ import io
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 import scipy
@@ -117,128 +117,106 @@ def _sample_pairs(spec: EnsembleSpec, dimension: int, max_level: int,
     return traces
 
 
-@dataclass
-class ScaleEstimate:
-    """Annealed estimates at one scale: the sample means of tr a/d and
-    tr a_*^{-1}/d with their standard errors, and theta, their product."""
-
-    level: int
-    samples: int
-    abar: float
-    abar_se: float
-    astar_inv: float
-    astar_inv_se: float
-    theta: float
-    theta_se: float
-    tau_prev: float = math.nan
-    tau_prev_se: float = math.nan
-
-    def to_json_dict(self, dimension: int) -> dict:
-        """The estimates as the isotropic d x d matrices x I they stand for."""
-        eye = np.eye(dimension)
-        out = {"level": self.level, "samples": self.samples}
-        for key in ("abar", "abar_se", "astar_inv", "astar_inv_se"):
-            out[key] = [float(x) for x in (getattr(self, key) * eye).ravel()]
-        out["theta"] = float(self.theta)
-        out["theta_se"] = float(self.theta_se)
-        if not math.isnan(self.tau_prev):
-            out["tau_prev"] = float(self.tau_prev)
-            out["tau_prev_se"] = float(self.tau_prev_se)
-        return out
-
-
 _CSV_COLUMNS = (
     "n", "samples", "abar_scalar", "abar_se", "astar_inv_scalar",
     "astar_inv_se", "theta", "theta_se", "tau_prev", "tau_prev_se",
 )
 
+# The estimates over levels, in CSV and flow.json order.  flow.json writes
+# the first four as the isotropic d x d matrices x I they stand for; both
+# leave tau out where it is undefined (level 0).
+_MATRICES = ("abar", "abar_se", "astar_inv", "astar_inv_se")
+_TAU = ("tau_prev", "tau_prev_se")
+_ESTIMATES = _MATRICES + ("theta", "theta_se") + _TAU
+
 
 @dataclass
 class FlowRecord:
-    """Per-scale annealed estimates for levels 0..max_level plus the raw
-    per-sample traces (needed for the correlated differences in
-    tau_from_record)."""
+    """The per-sample traces tr a/d and tr a_*^{-1}/d at levels 0..max_level,
+    (N, L+1) each, and the annealed estimates formed from them once, one
+    array over levels each: the sample means with their standard errors,
+    theta, their product, and tau_prev, the additivity defect from the level
+    below (NaN at level 0)."""
 
     dimension: int
-    max_level: int
     spec: EnsembleSpec
-    estimates: list[ScaleEstimate]
     a_samples: np.ndarray = dc_field(repr=False)      # (N, L+1)
     astar_inv_samples: np.ndarray = dc_field(repr=False)
     aborted: int
+    abar: np.ndarray = dc_field(init=False, repr=False)
+    abar_se: np.ndarray = dc_field(init=False, repr=False)
+    astar_inv: np.ndarray = dc_field(init=False, repr=False)
+    astar_inv_se: np.ndarray = dc_field(init=False, repr=False)
+    theta: np.ndarray = dc_field(init=False, repr=False)
+    theta_se: np.ndarray = dc_field(init=False, repr=False)
+    tau_prev: np.ndarray = dc_field(init=False, repr=False)
+    tau_prev_se: np.ndarray = dc_field(init=False, repr=False)
+
+    def __post_init__(self):
+        # The estimates reduce the (N, levels) arrays over the sample axis,
+        # row by row; theta, its SE and tau use the means of each level's
+        # column, which numpy sums pairwise along the contiguous rows of the
+        # transposed arrays.  The two orders can differ in the last bit.
+        a_s, ainv_s = self.a_samples, self.astar_inv_samples
+        n = self.samples
+        self.abar, self.astar_inv = a_s.mean(axis=0), ainv_s.mean(axis=0)
+        self.abar_se = a_s.std(axis=0, ddof=1) / math.sqrt(n)
+        self.astar_inv_se = ainv_s.std(axis=0, ddof=1) / math.sqrt(n)
+        # Product of the two sample means with a delta-method standard error;
+        # each level's covariance is np.cov's, one (2, N) @ (N, 2) product.
+        pairs = np.ascontiguousarray(np.stack([a_s.T, ainv_s.T], axis=1))
+        means = pairs.mean(axis=-1)
+        x, y = means.T
+        pairs -= means[..., None]
+        cov = pairs @ pairs.transpose(0, 2, 1) * np.true_divide(1, n - 1)
+        var = (y * y * cov[:, 0, 0] + x * x * cov[:, 1, 1] + 2 * x * y * cov[:, 0, 1]) / n
+        self.theta, self.theta_se = x * y, np.sqrt(np.maximum(var, 0.0))
+        # Additivity defect between consecutive levels at (p, q) = (e_1, e_1);
+        # per-sample values give the correlated SE.
+        e1 = np.eye(self.dimension)[0]
+        levels = np.arange(1, self.max_level + 1)
+        tau, tau_se = _tau(self, levels, levels - 1, e1, e1)
+        self.tau_prev = np.concatenate([[math.nan], tau])
+        self.tau_prev_se = np.concatenate([[math.nan], tau_se])
 
     @property
     def samples(self) -> int:
-        return self.estimates[0].samples
+        return self.a_samples.shape[0]
 
-    def scalars(self):
-        a = np.array([e.abar for e in self.estimates])
-        ainv = np.array([e.astar_inv for e in self.estimates])
-        return a, ainv
-
-    def thetas(self) -> np.ndarray:
-        return np.array([e.theta for e in self.estimates])
+    @property
+    def max_level(self) -> int:
+        return self.a_samples.shape[1] - 1
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write(",".join(_CSV_COLUMNS) + "\n")
-        for e in self.estimates:
-            row = [
-                str(e.level),
-                str(e.samples),
-                repr(float(e.abar)),
-                repr(float(e.abar_se)),
-                repr(float(e.astar_inv)),
-                repr(float(e.astar_inv_se)),
-                repr(float(e.theta)),
-                repr(float(e.theta_se)),
-                "" if math.isnan(e.tau_prev) else repr(float(e.tau_prev)),
-                "" if math.isnan(e.tau_prev_se) else repr(float(e.tau_prev_se)),
-            ]
+        for n in range(self.max_level + 1):
+            row = [str(n), str(self.samples)]
+            for key in _ESTIMATES:
+                v = float(getattr(self, key)[n])
+                row.append("" if key in _TAU and math.isnan(v) else repr(v))
             buf.write(",".join(row) + "\n")
         return buf.getvalue()
 
     def to_json_dict(self) -> dict:
+        eye = np.eye(self.dimension)
+        scales = []
+        for n in range(self.max_level + 1):
+            scale = {"level": n, "samples": self.samples}
+            for key in _ESTIMATES:
+                v = float(getattr(self, key)[n])
+                if key in _MATRICES:
+                    scale[key] = (v * eye).ravel().tolist()
+                elif key not in _TAU or not math.isnan(self.tau_prev[n]):
+                    scale[key] = v
+            scales.append(scale)
         return {
             "dimension": self.dimension,
             "max_level": self.max_level,
             "ensemble": self.spec.to_json_dict(),
             "aborted_samples": self.aborted,
-            "scales": [e.to_json_dict(self.dimension) for e in self.estimates],
+            "scales": scales,
         }
-
-
-def _aggregate(spec, dimension, results, aborted) -> FlowRecord:
-    # The estimates reduce the (N, levels) arrays over the sample axis, row by
-    # row; theta, its SE and tau use the means of each level's column, which
-    # numpy sums pairwise along the contiguous rows of the transposed
-    # arrays.  The two orders can differ in the last bit.
-    a_s = np.array([r[0] for r in results])
-    ainv_s = np.array([r[1] for r in results])
-    n = a_s.shape[0]
-    abar, ainv_bar = a_s.mean(axis=0), ainv_s.mean(axis=0)
-    abar_se = a_s.std(axis=0, ddof=1) / math.sqrt(n)
-    ainv_se = ainv_s.std(axis=0, ddof=1) / math.sqrt(n)
-    # Product of the two sample means with a delta-method standard error;
-    # each level's covariance is np.cov's, one (2, N) @ (N, 2) product.
-    pairs = np.ascontiguousarray(np.stack([a_s.T, ainv_s.T], axis=1))
-    means = pairs.mean(axis=-1)
-    x, y = means.T
-    pairs -= means[..., None]
-    cov = pairs @ pairs.transpose(0, 2, 1) * np.true_divide(1, n - 1)
-    var = (y * y * cov[:, 0, 0] + x * x * cov[:, 1, 1] + 2 * x * y * cov[:, 0, 1]) / n
-    theta_se = np.sqrt(np.maximum(var, 0.0))
-    estimates = [ScaleEstimate(li, n, *map(float, row)) for li, row in enumerate(zip(
-        abar, abar_se, ainv_bar, ainv_se, x * y, theta_se))]
-    record = FlowRecord(dimension, len(estimates) - 1, spec, estimates, a_s,
-                        ainv_s, aborted)
-    # Additivity defect between consecutive levels at (p, q) = (e_1, e_1);
-    # per-sample values give the correlated SE.
-    e1 = np.eye(dimension)[0]
-    levels = np.arange(1, len(estimates))
-    for li, tau, tau_se in zip(levels, *_tau(record, levels, levels - 1, e1, e1)):
-        estimates[li].tau_prev, estimates[li].tau_prev_se = float(tau), float(tau_se)
-    return record
 
 
 def _run_samples(spec, dimension, max_level, samples, method, workers):
@@ -277,7 +255,8 @@ def run_flow(spec: EnsembleSpec, dimension: int, max_level: int, samples: int,
     results, aborted = _run_samples(
         spec, dimension, max_level, samples, method, workers,
     )
-    return _aggregate(spec, dimension, results, aborted)
+    a_s, ainv_s = np.stack(results, axis=1)
+    return FlowRecord(dimension, spec, a_s, ainv_s, aborted)
 
 
 def synthetic_record(abar_scalars, astar_inv_scalars) -> FlowRecord:
@@ -288,7 +267,7 @@ def synthetic_record(abar_scalars, astar_inv_scalars) -> FlowRecord:
     if a.shape != b.shape or a.ndim != 1 or len(a) < 1:
         raise ParameterError("need two equal-length scalar sequences")
     spec = EnsembleSpec("constant", {"value": 1.0})
-    return _aggregate(spec, 1, [np.stack([a, b])] * 2, 0)
+    return FlowRecord(1, spec, np.stack([a, a]), np.stack([b, b]), 0)
 
 
 @dataclass(frozen=True)
@@ -305,16 +284,7 @@ class PigeonholeResult:
     theta_ratio: float              # theta(N) / theta(0)
 
     def to_json_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "level": self.level,
-            "delta": self.delta,
-            "sigma": self.sigma,
-            "h": self.h,
-            "max_level": self.max_level,
-            "ratios": list(self.ratios) if self.ratios else None,
-            "theta_ratio": self.theta_ratio,
-        }
+        return asdict(self)
 
 
 def pigeonhole_select(record: FlowRecord, delta: float, sigma: float,
@@ -337,7 +307,7 @@ def pigeonhole_select(record: FlowRecord, delta: float, sigma: float,
         raise ParameterError(
             f"record covers {big_n} scales but the lemma needs at least {need}"
         )
-    a, ainv = record.scalars()
+    a, ainv = record.abar, record.astar_inv
     for n in range(h, big_n + 1):
         ra = a[n - h] / a[n]
         rb = ainv[n - h] / ainv[n]
@@ -380,10 +350,10 @@ class HomogenizationScale:
 def scale_from_record(record: FlowRecord, sigma: float) -> HomogenizationScale:
     if not (0.0 < sigma <= 0.5):
         raise ParameterError("sigma must lie in (0, 1/2]")
-    for e in record.estimates:
-        if e.theta <= 1.0 + sigma:
-            confident = e.theta + 2.0 * e.theta_se <= 1.0 + sigma
-            return HomogenizationScale(e.level, confident, sigma)
+    for n, theta in enumerate(record.theta.tolist()):
+        if theta <= 1.0 + sigma:
+            confident = theta + 2.0 * float(record.theta_se[n]) <= 1.0 + sigma
+            return HomogenizationScale(n, confident, sigma)
     return HomogenizationScale(None, False, sigma)
 
 
@@ -421,9 +391,8 @@ def contraction_diagnostics(record: FlowRecord, spec: EnsembleSpec,
             "no pigeonhole good scale in the record; contrast already contracted"
         )
     n = sel.level
-    est = record.estimates[n]
-    abar_s = est.abar
-    astar_s = 1.0 / est.astar_inv
+    abar_s = float(record.abar[n])
+    astar_s = 1.0 / float(record.astar_inv[n])
     m0 = math.sqrt(abar_s * astar_s)
     e1 = np.zeros(dimension)
     e1[0] = 1.0
@@ -431,10 +400,8 @@ def contraction_diagnostics(record: FlowRecord, spec: EnsembleSpec,
     q_c = m0 ** 0.5 * e1
     tau_val, tau_se = tau_from_record(record, n, n - h, p_c, q_c)
 
-    theta0 = record.estimates[0].theta
-    thetas = record.thetas()
     ratios = [
-        {"level": int(m), "ratio": float((thetas[m] - 1.0) / theta0)}
+        {"level": int(m), "ratio": float((record.theta[m] - 1.0) / record.theta[0])}
         for m in range(n, record.max_level + 1)
     ]
     report = {

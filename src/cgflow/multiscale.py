@@ -271,17 +271,15 @@ def ellipticity_constants(lad: MultiscaleLadder, exps: ExponentSet,
 
 
 def defect_quadratic_forms(a_arr, ainv_arr, abar: np.ndarray) -> np.ndarray:
-    """Per-subcube unit-sphere maximum of J(., abar^{-1/2} e, abar^{1/2} e),
-    computed as the top eigenvalue of the explicit symmetric matrix
-    abar^{-1/2} (a - a_* + (a_* - abar) a_*^{-1} (a_* - abar)) abar^{-1/2} / 2."""
+    """Per-subcube unit-sphere maximum of J(., r e, s e) with r = abar^{-1/2}
+    and s = abar^{1/2}: as r s = I, half the top eigenvalue of the symmetric
+    matrix r a r + s a_*^{-1} s - 2I."""
     evals, evecs = np.linalg.eigh(abar)
     if evals[0] <= 0:
         raise ParameterError("reference matrix abar must be positive definite")
     r = evecs @ np.diag(evals ** -0.5) @ evecs.T
-    a_star = np.linalg.inv(ainv_arr)
-    dev = a_star - abar
-    inner = a_arr - a_star + dev @ ainv_arr @ dev
-    mats = r @ inner @ r
+    s = evecs @ np.diag(evals ** 0.5) @ evecs.T
+    mats = r @ a_arr @ r + s @ ainv_arr @ s - 2.0 * np.eye(len(evals))
     mats = 0.5 * (mats + np.swapaxes(mats, -2, -1))
     vals = 0.5 * np.linalg.eigvalsh(mats)[..., -1]
     # The conjugation makes the form dimensionless; values at roundoff scale

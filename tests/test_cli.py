@@ -92,6 +92,15 @@ def test_missing_config_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["nope", "--config", "c.json"],
+                                  ["--config", "c.json"]])
+def test_unknown_or_missing_command_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: cgflow" in capsys.readouterr().err
+
+
 def test_config_roundtrip_identity(tmp_path):
     text = json.dumps(FLOW_1D)
     assert json.loads(json.dumps(json.loads(text))) == json.loads(text)
@@ -533,9 +542,9 @@ def test_constants_abar_samples_is_the_flow_estimate(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     spec = cgflow.EnsembleSpec.from_json_dict(config["ensemble"])
     with cgflow.flow.one_blas_thread():
-        est = cgflow.run_flow(spec, 2, 1, 3).estimates[1]
-    assert out["abar"] == [est.abar, 0.0, 0.0, est.abar]
-    assert est.abar != pytest.approx(4.0)  # not the cells' own value
+        abar = cgflow.run_flow(spec, 2, 1, 3).abar[1]
+    assert out["abar"] == [abar, 0.0, 0.0, abar]
+    assert abar != pytest.approx(4.0)  # not the cells' own value
 
 
 def test_flow_3d(tmp_path, capsys):

@@ -50,18 +50,18 @@ def test_recorded_traces_are_cube_group_averages(signed_permutations):
 
 def test_constant_ensemble_estimate():
     spec = EnsembleSpec("constant", {"value": 3.0})
-    est = run_flow(spec, 2, 1, samples=4).estimates[1]
-    assert est.abar == pytest.approx(3.0, abs=1e-10)
-    assert est.astar_inv == pytest.approx(1.0 / 3.0, abs=1e-11)
-    assert est.abar_se == pytest.approx(0.0, abs=1e-10)
-    assert est.theta == pytest.approx(1.0, abs=1e-10)
+    record = run_flow(spec, 2, 1, samples=4)
+    assert record.abar[1] == pytest.approx(3.0, abs=1e-10)
+    assert record.astar_inv[1] == pytest.approx(1.0 / 3.0, abs=1e-11)
+    assert record.abar_se[1] == pytest.approx(0.0, abs=1e-10)
+    assert record.theta[1] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_degenerate_two_phase_estimate():
     # prob_hi = 1 makes every cell sigma_hi: zero variance across samples.
-    est = run_flow(two_phase(5.0, 0.5, p=1.0), 2, 1, samples=3).estimates[1]
-    assert est.abar == pytest.approx(5.0, abs=1e-9)
-    assert est.abar_se == pytest.approx(0.0, abs=1e-10)
+    record = run_flow(two_phase(5.0, 0.5, p=1.0), 2, 1, samples=3)
+    assert record.abar[1] == pytest.approx(5.0, abs=1e-9)
+    assert record.abar_se[1] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_estimate_requires_two_samples():
@@ -70,9 +70,9 @@ def test_estimate_requires_two_samples():
 
 
 def test_annealed_ordering_within_noise():
-    est = run_flow(two_phase(10.0, 0.1, seed=5), 2, 2, samples=16).estimates[2]
-    gap = est.abar - 1.0 / est.astar_inv
-    assert gap >= -2.0 * (est.abar_se + est.astar_inv_se)
+    record = run_flow(two_phase(10.0, 0.1, seed=5), 2, 2, samples=16)
+    gap = record.abar[2] - 1.0 / record.astar_inv[2]
+    assert gap >= -2.0 * (record.abar_se[2] + record.astar_inv_se[2])
 
 
 # -- run_flow ------------------------------------------------------------
@@ -81,10 +81,10 @@ def test_annealed_ordering_within_noise():
 def test_constant_flow_is_flat():
     spec = EnsembleSpec("constant", {"value": 2.0})
     record = run_flow(spec, 2, 2, samples=3)
-    for est in record.estimates:
-        assert est.theta == pytest.approx(1.0, abs=1e-10)
-        assert est.theta_se == pytest.approx(0.0, abs=1e-12)
-    assert record.estimates[1].tau_prev == pytest.approx(0.0, abs=1e-10)
+    for theta, theta_se in zip(record.theta, record.theta_se):
+        assert theta == pytest.approx(1.0, abs=1e-10)
+        assert theta_se == pytest.approx(0.0, abs=1e-12)
+    assert record.tau_prev[1] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_flow_oracle_matches_solver_1d():
@@ -98,7 +98,7 @@ def test_flow_oracle_matches_solver_1d():
         solver_rec.astar_inv_samples, oracle_rec.astar_inv_samples, rtol=1e-9
     )
     np.testing.assert_allclose(
-        solver_rec.thetas(), oracle_rec.thetas(), rtol=1e-9
+        solver_rec.theta, oracle_rec.theta, rtol=1e-9
     )
 
 
@@ -137,6 +137,49 @@ def test_flow_json_roundtrip():
     assert d["max_level"] == 1
     assert len(d["scales"]) == 2
     assert d["scales"][1]["samples"] == 3
+
+
+# The record bytes of the 1d oracle flow below.  Rows 1 and 2 have theta !=
+# abar_scalar * astar_inv_scalar, since theta multiplies means summed in
+# another order, so the bytes pin both reduction orders of the estimates.
+GOLDEN_CSV = (
+    "n,samples,abar_scalar,abar_se,astar_inv_scalar,astar_inv_se,theta,theta_se,"
+    "tau_prev,tau_prev_se\n"
+    "0,9,2.0555555555555554,0.6148873228105182,1.2222222222222223,"
+    "0.3074436614052591,2.5123456790123457,0.11956142387982263,,\n"
+    "1,9,1.369281045751634,0.498173111708098,1.3518518518518519,"
+    "0.22685185185185186,1.851065117404987,0.39520413315850306,"
+    "0.2783224400871459,0.150789037343785\n"
+    "2,9,0.840371922724864,0.053117705851125525,1.2222222222222223,"
+    "0.06481481481481483,1.0271212388859448,0.014745924208119838,"
+    "0.32926937632819975,0.1451513138734591\n"
+)
+GOLDEN_SCALES = [
+    {"level": 0, "samples": 9, "abar": [2.0555555555555554],
+     "abar_se": [0.6148873228105182], "astar_inv": [1.2222222222222223],
+     "astar_inv_se": [0.3074436614052591], "theta": 2.5123456790123457,
+     "theta_se": 0.11956142387982263},
+    {"level": 1, "samples": 9, "abar": [1.369281045751634],
+     "abar_se": [0.498173111708098], "astar_inv": [1.3518518518518519],
+     "astar_inv_se": [0.22685185185185186], "theta": 1.851065117404987,
+     "theta_se": 0.39520413315850306, "tau_prev": 0.2783224400871459,
+     "tau_prev_se": 0.150789037343785},
+    {"level": 2, "samples": 9, "abar": [0.840371922724864],
+     "abar_se": [0.053117705851125525], "astar_inv": [1.2222222222222223],
+     "astar_inv_se": [0.06481481481481483], "theta": 1.0271212388859448,
+     "theta_se": 0.014745924208119838, "tau_prev": 0.32926937632819975,
+     "tau_prev_se": 0.1451513138734591},
+]
+
+
+def test_flow_record_bytes_are_pinned():
+    record = run_flow(two_phase(4.0, 0.5, seed=1), 1, 2, samples=9,
+                      method="oracle")
+    assert record.to_csv() == GOLDEN_CSV
+    scales = record.to_json_dict()["scales"]
+    assert json.dumps(scales) == json.dumps(GOLDEN_SCALES)
+    products = [sc["abar"][0] * sc["astar_inv"][0] for sc in GOLDEN_SCALES]
+    assert any(p != sc["theta"] for p, sc in zip(products, GOLDEN_SCALES))
 
 
 def test_flow_parallel_matches_serial():

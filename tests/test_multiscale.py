@@ -23,9 +23,14 @@ from cgflow import (
     subcubes,
     weak_norm_diagnostics,
 )
-from cgflow.coarse import _PAIRS
+from cgflow.coarse import _PAIRS, mean_j
 from cgflow.errors import CapacityError, ParameterError
-from cgflow.multiscale import _unit_oscillation, _window_oscillation, c_exp
+from cgflow.multiscale import (
+    _unit_oscillation,
+    _window_oscillation,
+    c_exp,
+    defect_quadratic_forms,
+)
 from cgflow.solver import banded_cost
 
 INF = math.inf
@@ -446,6 +451,26 @@ def test_defect_tail_matches_brute_force():
     expected = (c_exp(s * q) * total) ** (1.0 / q)
     got = multiscale_defect(lad, abar, s, q, min_level=-6)
     assert got == pytest.approx(expected, rel=1e-10)
+
+
+def test_defect_forms_are_j_maxima_over_directions_2d():
+    # Each subcube's form is the maximum of J(., r e, s e) over unit e, with
+    # r = abar^{-1/2} and s = abar^{1/2}; an anisotropic abar tilts it.
+    f = lognormal_field(2, 1, seed=4)
+    lad = ladder(f, f.cube)
+    abar = np.array([[2.0, 0.6], [0.6, 0.5]])
+    evals, evecs = np.linalg.eigh(abar)
+    r = evecs @ np.diag(evals ** -0.5) @ evecs.T
+    s = evecs @ np.diag(evals ** 0.5) @ evecs.T
+    phi = np.linspace(0.0, 2.0 * np.pi, 3600, endpoint=False)
+    units = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    for k in range(2):
+        a, ainv = lad.a_all[k], lad.a_star_inv_all[k]
+        forms = defect_quadratic_forms(a, ainv, abar)
+        for i, form in enumerate(forms):
+            best = max(mean_j(a[i:i + 1], ainv[i:i + 1], r @ e, s @ e) for e in units)
+            assert form == pytest.approx(best, rel=1e-5)
+            assert form > 0
 
 
 def test_defect_validates_exponents():
