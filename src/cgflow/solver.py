@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.linalg.lapack
@@ -221,7 +221,9 @@ def _transfer(tiles, x, grid, restrict: bool):
     the GEMM is 2d, x[:, cols] @ block^T; its long rows are strided, so it
     runs where x is smallest: restriction goes from the first node axis to
     the last, prolongation from the last to the first.  A single tile is
-    the whole P1, its product the result."""
+    the whole P1, its product the result.  The result keeps x's dtype when
+    the tiles have it: the accumulators are allocated in it, since a
+    float64 default would run a float32 cycle's coarse levels in float64."""
     w_c = tiles[-1][1].stop
     shape = list(grid) if restrict else [grid[0]] + [w_c] * (len(grid) - 1)
 
@@ -237,7 +239,8 @@ def _transfer(tiles, x, grid, restrict: bool):
             block = tiles[0][2]
             x = gemm(block.T if restrict else block, x)
             continue
-        out = (np.zeros if restrict else np.empty)((len(x), shape[axis], x.shape[2]))
+        out = (np.zeros if restrict else np.empty)((len(x), shape[axis], x.shape[2]),
+                                                   dtype=x.dtype)
         for rows, cols, block in tiles:
             if restrict:
                 out[:, cols] += gemm(block.T, x[:, rows])
@@ -267,14 +270,24 @@ def _multigrid(A, grid, singular: bool):
     x += S (r - A P V(P^T r)) for r = b - A x, so by that bound it is
     symmetric and positive definite.  With `singular` (Neumann blocks)
     it is applied between two removals of each block's mean, Q V(Q r),
-    which keeps it symmetric on the mean-zero space CG runs in."""
+    which keeps it symmetric on the mean-zero space CG runs in.
+
+    The hierarchy is float32, the CG around it and the correction loop of
+    _solve_spd float64 (iterative refinement: Carson & Higham, SIAM J. Sci.
+    Comput. 2018).  Each Galerkin stencil, smoother and coarsest inverse is
+    formed in float64 from the float64 level above and then rounded, so a
+    level keeps float32 copies of its DIA matrix, smoother and tiles; the
+    cycle takes r in float32 and returns its correction in float64, and is
+    symmetric and positive definite up to float32 roundoff."""
     blocks, n, levels = grid[0], A.shape[0], []
     side = grid[1] - 1 if singular else grid[1] + 1
     while side > 3:
         d_inv = SMOOTHER_WEIGHT / abs(A).sum(axis=1)
         # At least 8 nodes wide, A's data is its stencil (_stencil_matrix).
         stencil, coarse_grid, tiles = _coarsen(A.data, grid, singular)
-        levels.append((A, d_inv, tiles, grid))
+        levels.append((A.astype(np.float32), d_inv.astype(np.float32),
+                       [(rows, cols, block.astype(np.float32))
+                        for rows, cols, block in tiles], grid))
         grid = coarse_grid
         A = _stencil_matrix(stencil, grid)
         side //= 3
@@ -288,13 +301,15 @@ def _multigrid(A, grid, singular: bool):
     inverse = np.linalg.inv(dense)
     if singular:
         inverse[:, 0, 0] = 0.0
-    inverse = (inverse + inverse.transpose(0, 2, 1)) / 2
+    inverse = ((inverse + inverse.transpose(0, 2, 1)) / 2).astype(np.float32)
 
     def project(v):
         v = v.reshape(blocks, -1)
         return (v - v.mean(axis=1, keepdims=True)).reshape(-1)
 
-    cycle = partial(_v_cycle, levels, inverse)
+    def cycle(r):
+        return _v_cycle(levels, inverse, r.astype(np.float32)).astype(np.float64)
+
     matvec = (lambda r: project(cycle(project(r)))) if singular else cycle
     return scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
 
@@ -302,7 +317,9 @@ def _multigrid(A, grid, singular: bool):
 def _v_cycle(levels, inverse, b, k=0):
     """One V-cycle of _multigrid from level k: `levels` holds (A, the
     smoother omega D^{-1}, P1's row tiles, the node lattice) per level
-    above the coarsest, whose blocks' dense inverses are `inverse`.  A module function, not a closure over
+    above the coarsest, whose blocks' dense inverses are `inverse`, all
+    float32 arrays, and b is float32, so the cycle runs in float32 and is
+    SPD up to its roundoff.  A module function, not a closure over
     itself, so that a finished solve's hierarchy is freed at once instead
     of by the cycle collector."""
     if k == len(levels):

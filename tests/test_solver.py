@@ -290,6 +290,21 @@ def recorded_coarsenings(monkeypatch):
     return calls
 
 
+def recorded_hierarchies(monkeypatch):
+    """A list that gains (levels, inverse) for every V-cycle hierarchy
+    _multigrid builds and applies for the rest of one test."""
+    hierarchies = []
+    v_cycle = solver._v_cycle
+
+    def recorded(levels, inverse, b, k=0):
+        if k == 0 and not any(levels is seen for seen, _ in hierarchies):
+            hierarchies.append((levels, inverse))
+        return v_cycle(levels, inverse, b, k)
+
+    monkeypatch.setattr(solver, "_v_cycle", recorded)
+    return hierarchies
+
+
 @pytest.mark.parametrize("d, m, level", [(1, 7, None), (1, 7, 6), (2, 3, None),
                                          (2, 4, None), (3, 2, None), (3, 3, None),
                                          (2, 3, 2)],
@@ -326,6 +341,32 @@ def test_coarse_stencils_are_galerkin_products(solver_settings, monkeypatch,
         galerkin = ref.T @ _stencil_matrix(stencil, grid) @ ref
         A = _stencil_matrix(coarse, coarse_grid)
         assert abs(A - galerkin).max() <= 1e-14 * abs(galerkin).max()
+
+
+@pytest.mark.parametrize("d, w, singular", [(2, 26, False), (2, 82, True),
+                                             (3, 10, True), (3, 80, False)],
+                         ids=["2d-one-tile", "2d-tiles", "3d-one-tile", "3d-tiles"])
+def test_transfers_keep_float32(d, w, singular):
+    # The V-cycle's hierarchy is float32: both transfers of a float32 vector
+    # with float32 tiles stay float32 (a float64 accumulator would silently
+    # run the coarse levels in float64) and equal the float64 transfers of
+    # the same vector to float32 rounding, at most 5 roundings per entry
+    # and axis, relative to the float64 transfer of |x|.  The tiles depend
+    # on w alone, so a 1d lattice gives them.
+    tiles = _coarsen(np.zeros((3, w)), (1, w), singular)[2]
+    assert (len(tiles) == 1) == (w < 29)
+    tiles32 = [(rows, cols, block.astype(np.float32)) for rows, cols, block in tiles]
+    grid = (2,) + (w,) * d
+    w_c = tiles[-1][1].stop
+    rng = np.random.default_rng(1)
+    for restrict, n in ((True, math.prod(grid)), (False, 2 * w_c ** d)):
+        x = rng.standard_normal(n).astype(np.float32)
+        ours = _transfer(tiles32, x, grid, restrict)
+        assert ours.dtype == np.float32
+        oracle = _transfer(tiles, x.astype(np.float64), grid, restrict)
+        bound = 5 * d * np.finfo(np.float32).eps * _transfer(tiles, np.abs(x, dtype=float),
+                                                             grid, restrict)
+        assert (np.abs(ours - oracle) <= bound).all()
 
 
 @pytest.mark.parametrize("d, m, cells", [(2, 2, "two-phase"), (3, 1, "two-phase"),
@@ -805,10 +846,11 @@ def test_operator_memory_per_node(d, m, bound):
                               "2d-L3-laminate", "3d-L2-laminate"])
 def test_multigrid_preconditioner_is_symmetric_positive(solver_settings, cg_runs,
                                                         d, m, level, laminate):
-    # The V-cycle CG is given, formed column by column: symmetric, and
-    # positive definite on the space CG runs in (each block's mean-zero
-    # vectors for the singular Neumann system).  The laminate at contrast
-    # 1e4 has positive stencil entries.
+    # The V-cycle CG is given, formed column by column: symmetric up to the
+    # float32 roundoff of its hierarchy (at most 1.6 epsilons of the largest
+    # entry measured), and positive definite on the space CG runs in (each
+    # block's mean-zero vectors for the singular Neumann system).  The
+    # laminate at contrast 1e4 has positive stencil entries.
     f = laminate_field(d, m) if laminate else two_phase_field(d, m, 100.0, seed=21)
     solver_settings(direct_cost_cap=0)
     op = CubeOperator(f, f.cube, level)
@@ -826,13 +868,36 @@ def test_multigrid_preconditioner_is_symmetric_positive(solver_settings, cg_runs
         n = run.M.shape[0]
         M = np.column_stack([run.M.matvec(e) for e in np.eye(n)])
         scale = np.abs(M).max()
-        assert np.abs(M - M.T).max() <= 1e-12 * scale
+        assert np.abs(M - M.T).max() <= 16 * np.finfo(np.float32).eps * scale
         if singular:
             # Orthonormal basis of each block's mean-zero vectors.
             basis = np.kron(np.eye(op.blocks),
                             scipy.linalg.null_space(np.ones((1, n // op.blocks))))
             M = basis.T @ M @ basis
         assert np.linalg.eigvalsh((M + M.T) / 2)[0] > 0
+
+
+def test_multigrid_hierarchy_is_float32(solver_settings, monkeypatch, cg_runs):
+    # Both hierarchies at 3d L2 hold only float32 arrays (DIA data,
+    # smoother, tiles and the coarsest inverses), so no numpy or scipy
+    # version can upcast the cycle silently, and the preconditioner hands
+    # CG float64.
+    hierarchies = recorded_hierarchies(monkeypatch)
+    solver_settings(direct_cost_cap=0)
+    f = two_phase_field(3, 2, 100.0, seed=21)
+    op = CubeOperator(f, f.cube)
+    op.solve_dirichlet(np.eye(3)[0])
+    op.solve_neumann(np.eye(3)[0])
+    assert len(hierarchies) == 2
+    for levels, inverse in hierarchies:
+        assert levels and inverse.dtype == np.float32
+        for A, smoother, tiles, _ in levels:
+            assert A.data.dtype == smoother.dtype == np.float32
+            assert all(block.dtype == np.float32 for *_, block in tiles)
+    assert cg_runs
+    for run in cg_runs:
+        r = np.random.default_rng(2).standard_normal(run.M.shape[0])
+        assert run.M.matvec(r).dtype == np.float64
 
 
 @pytest.mark.parametrize("d, m, laminate", [(2, 3, False), (3, 2, False),
@@ -844,35 +909,33 @@ def test_smoother_weight_keeps_every_level_in_the_l1_bound(solver_settings,
     # sums of |A|, so the smoothed operator omega D^{-1/2} A D^{-1/2} has
     # its spectrum in [0, omega], which lies in [0, 2) with the margin
     # 2 - omega: then 2D/omega - A is positive definite and the V-cycle SPD.
+    # The bound is checked on each level's float64 matrix, the one _coarsen
+    # was given; the level stores that matrix and omega D^{-1} rounded to
+    # float32.  (The rounded Neumann levels are PSD only to float32 roundoff:
+    # their kernel eigenvalue moves by up to 3e-8 on the laminate.)
     omega = solver.SMOOTHER_WEIGHT
     assert 0 < omega < 2
-    hierarchies = []
-    v_cycle = solver._v_cycle
-
-    def recorded(levels, inverse, b, k=0):
-        if k == 0:
-            hierarchies.append(levels)
-        return v_cycle(levels, inverse, b, k)
-
-    monkeypatch.setattr(solver, "_v_cycle", recorded)
+    hierarchies = recorded_hierarchies(monkeypatch)
+    calls = recorded_coarsenings(monkeypatch)
     f = laminate_field(d, m) if laminate else two_phase_field(d, m, 100.0, seed=21)
     solver_settings(direct_cost_cap=0)
     op = CubeOperator(f, f.cube)
     op.solve_dirichlet(np.eye(d)[0])
-    first = len(hierarchies)
     op.solve_neumann(np.eye(d)[0])
-    smoothed = [hierarchies[0], hierarchies[first]]
-    assert all(levels for levels in smoothed)
-    for levels in smoothed:
-        for A, smoother, *_ in levels:
-            assert isinstance(A, scipy.sparse.dia_array)
-            A = A.toarray()
-            D = np.abs(A).sum(axis=1)
-            np.testing.assert_allclose(smoother, omega / D, rtol=1e-14)
-            scale = 1 / np.sqrt(D)
-            spectrum = np.linalg.eigvalsh(omega * scale[:, None] * A * scale[None, :])
-            assert spectrum[0] >= -1e-12 * omega
-            assert spectrum[-1] <= omega * (1 + 1e-12)
+    assert len(hierarchies) == 2 and all(levels for levels, _ in hierarchies)
+    smoothed = [level for levels, _ in hierarchies for level in levels]
+    assert len(calls) == len(smoothed)
+    for (stored, smoother, *_), (stencil, grid, *_) in zip(smoothed, calls):
+        assert isinstance(stored, scipy.sparse.dia_array)
+        A = _stencil_matrix(stencil, grid)
+        D = abs(A).sum(axis=1)
+        A = A.toarray()
+        np.testing.assert_array_equal(stored.toarray(), A.astype(np.float32))
+        np.testing.assert_array_equal(smoother, (omega / D).astype(np.float32))
+        scale = 1 / np.sqrt(D)
+        spectrum = np.linalg.eigvalsh(omega * scale[:, None] * A * scale[None, :])
+        assert spectrum[0] >= -1e-12 * omega
+        assert spectrum[-1] <= omega * (1 + 1e-12)
 
 
 def test_multigrid_iterations_do_not_grow_with_level(solver_settings, cg_runs):
