@@ -47,18 +47,15 @@ from .multiscale import (
     ellipticity_constants,
     ladder,
     multiscale_defect,
-    weak_norm_diagnostics,
 )
 from .flow import (
     FlowRecord,
     HomogenizationScale,
     PigeonholeResult,
-    contraction_diagnostics,
     pigeonhole_select,
     run_flow,
     scale_from_record,
     synthetic_record,
-    tau_from_record,
 )
 
 __version__ = "0.1.0"

@@ -273,7 +273,7 @@ def cmd_constants(config: dict, out_dir, threads: int, seed_override) -> int:
         record = flow_mod.run_flow(spec, d, level, n_ab, workers=threads)
         abar = record.abar[level] * np.eye(d)
     else:
-        abar = lad.a_all[level][0]
+        abar = lad.pair.a
     payload = {
         "dimension": d,
         "level": level,
@@ -377,19 +377,25 @@ def run_verification(seed: int, cases: int, dimensions=(1, 2), max_level: int = 
     failed = None
 
     def note(check, value, lower=None, rel=None):
+        # A non-finite value fails its check and stays the worst: NaN is
+        # kept, since the builtin min and max keep their first argument.
         nonlocal failed
-        if lower is not None:
+        if not math.isfinite(value):
+            worst[check] = math.nan
+        elif lower is not None:
             worst[check] = min(worst[check], value)
-            if value < lower and failed is None:
-                failed = check
         else:
             worst[check] = max(worst[check], value)
-            if value > rel and failed is None:
-                failed = check
+        ok = value >= lower if lower is not None else value <= rel
+        if not (ok and math.isfinite(value)) and failed is None:
+            failed = check
 
     instances = _verify_instances(seed, cases, dimensions, max_level)
     for field, cube, p, q in instances:
-        pair = coarse_pair(field, cube)
+        # One operator, one ladder and its top pair serve every check.
+        op = CubeOperator(field, cube)
+        lad = multiscale.ladder(field, cube)
+        pair = lad.pair
         a_mat = pair.a
         if inject_fault == "ordering":
             a_mat = a_mat - 1e-3 * np.eye(field.dimension)
@@ -398,32 +404,32 @@ def run_verification(seed: int, cases: int, dimensions=(1, 2), max_level: int = 
              float(np.linalg.eigvalsh(a_mat - pair.a_star)[0]) / scale,
              lower=-tol)
 
-        v = solve_v(field, cube, p, q)
-        j = j_functional(field, cube, p, q)
+        v = solve_v(op, p, q)
+        j = j_functional(pair, p, q)
         ref = max(abs(j), 0.5 * float(p @ p + q @ q), 1e-12)
         note("j_energy_rel", abs(v.energy - j) / ref, rel=tol)
 
-        s1, s2 = integral_bound_slacks(field, cube)
+        s1, s2 = integral_bound_slacks(op, pair)
         note("integral_bounds", min(s1, s2) / scale, lower=-tol)
         note("subadditivity",
-             subadditivity_defect(field, cube, 0, p, q) / ref,
+             subadditivity_defect(field, pair, 0, p, q) / ref,
              lower=-tol)
 
-        w = harmonic_pool(field, cube, 1, seed=seed + cube.level)[0]
-        wref = max(2.0 * CubeOperator(field, cube).energy(w), 1e-12)
-        lhs, rhs = response_defect(field, cube, w)
+        w = harmonic_pool(op, 1, seed=seed + cube.level)[0]
+        wref = max(2.0 * op.energy(w), 1e-12)
+        lhs, rhs = response_defect(op, pair, w)
         note("response_map", (rhs - lhs) / wref, lower=-tol)
-        lhs, rhs = fluxmap_sides(field, cube, w, p, q)
+        lhs, rhs = fluxmap_sides(op, pair, w, p, q)
         note("flux_map", (rhs - lhs) / max(wref, ref), lower=-tol)
-        g_side, energy, f_side = energy_map_check(field, cube, w)
+        g_side, energy, f_side = energy_map_check(op, pair, w)
         note("energy_maps",
              min(energy - g_side, energy - f_side) / wref, lower=-tol)
-        lhs, rhs = first_variation_sides(field, cube, w, p, q, v)
+        lhs, rhs = first_variation_sides(op, w, p, q, v)
         note("first_variation", abs(lhs - rhs) / max(wref, ref), rel=tol)
-        lhs, rhs = second_variation_sides(field, cube, w, p, q, v)
+        lhs, rhs = second_variation_sides(op, pair, w, p, q, v)
         note("second_variation", abs(lhs - rhs) / max(wref, ref), rel=tol)
 
-        rep = multiscale.cg_poincare_check(field, cube, w, 0.25, 1.0)
+        rep = multiscale.cg_poincare_check(op, lad, w, 0.25, 1.0)
         slack = min(rep["rhs_gradient"] - rep["lhs_gradient"],
                     rep["rhs_flux"] - rep["lhs_flux"])
         note("poincare", slack / max(rep["rhs_gradient"], 1e-12), lower=-tol)
@@ -432,7 +438,7 @@ def run_verification(seed: int, cases: int, dimensions=(1, 2), max_level: int = 
         "cases": len(instances),
         "seed": seed,
         "fault": inject_fault,
-        "worst": {k: (None if math.isinf(v) else v) for k, v in worst.items()},
+        "worst": {k: (v if math.isfinite(v) else None) for k, v in worst.items()},
         "failed": failed,
     }
 

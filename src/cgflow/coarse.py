@@ -9,7 +9,6 @@ pair plus quadratures of block solutions.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +18,6 @@ from .grid import CoefficientField, TriadicCube, check_spd_array, subcubes
 from .solver import CubeOperator, _product, stack_level
 
 ORDER_TOL = 1e-9
-
-_PAIRS = weakref.WeakKeyDictionary()  # live field -> {cube: pair}
 
 
 @dataclass(frozen=True)
@@ -136,15 +133,9 @@ def level_pairs(field: CoefficientField, cube: TriadicCube, level: int):
 
 def coarse_pair(field: CoefficientField, cube: TriadicCube) -> CoarseGrainedPair:
     """Compute (a(cube), a_*(cube)): the one-cube case of level_pairs.
-
-    Results are memoized per field while it lives, keyed by cube."""
-    memo = _PAIRS.setdefault(field, {})
-    if cube in memo:
-        return memo[cube]
+    Nothing is memoized: a caller that needs the pair again keeps it."""
     a, a_star, a_star_inv, residuals = level_pairs(field, cube, cube.level)
-    pair = CoarseGrainedPair(cube, a[0], a_star[0], a_star_inv[0], residuals)
-    memo[cube] = pair
-    return pair
+    return CoarseGrainedPair(cube, a[0], a_star[0], a_star_inv[0], residuals)
 
 
 def mean_j(a: np.ndarray, a_star_inv: np.ndarray, p, q) -> float:
@@ -155,15 +146,16 @@ def mean_j(a: np.ndarray, a_star_inv: np.ndarray, p, q) -> float:
     return float(0.5 * np.einsum("si,bsij,sj->", pq, pairs, pq) / len(pairs) - p @ q)
 
 
-def j_functional(field, cube, p, q) -> float:
+def j_functional(pair: CoarseGrainedPair, p, q) -> float:
     """J(cube, p, q) = 1/2 p.a(cube)p + 1/2 q.a_*^{-1}(cube)q - p.q."""
-    pair = coarse_pair(field, cube)
     return mean_j(pair.a[None], pair.a_star_inv[None],
                   np.asarray(p, dtype=float), np.asarray(q, dtype=float))
 
 
-def subadditivity_defect(field, cube_m, level_n, p, q) -> float:
-    """avg over subcubes at level_n of J minus J on the big cube; >= 0."""
+def subadditivity_defect(field, pair: CoarseGrainedPair, level_n, p, q) -> float:
+    """avg over the level_n subcubes of pair.cube of J minus J on the big
+    cube; >= 0.  Only the level_n stack is solved (none at level 0)."""
+    cube_m = pair.cube
     if not (0 <= level_n < cube_m.level):
         raise ParameterError(
             f"need 0 <= level_n < {cube_m.level}, got {level_n}"
@@ -171,15 +163,13 @@ def subadditivity_defect(field, cube_m, level_n, p, q) -> float:
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     a, _, a_star_inv, _ = level_pairs(field, cube_m, level_n)
-    return float(mean_j(a, a_star_inv, p, q) - j_functional(field, cube_m, p, q))
+    return float(mean_j(a, a_star_inv, p, q) - j_functional(pair, p, q))
 
 
-def response_defect(field, cube, w) -> tuple[float, float]:
+def response_defect(op, pair: CoarseGrainedPair, w) -> tuple[float, float]:
     """Both sides of the response-map bound for a discrete a-harmonic w:
     |mean flux - a_* mean grad| <= |a - a_*|^(1/2) (mean grad.a grad)^(1/2)."""
-    op = CubeOperator(field, cube)
     op.require_harmonic(w)
-    pair = coarse_pair(field, cube)
     g = op.mean_gradient(w)
     f = op.mean_flux(w)
     lhs = float(np.linalg.norm(f - pair.a_star @ g))
@@ -188,12 +178,10 @@ def response_defect(field, cube, w) -> tuple[float, float]:
     return lhs, rhs
 
 
-def energy_map_check(field, cube, w, flux=True):
+def energy_map_check(op, pair: CoarseGrainedPair, w, flux=True):
     """Returns (grad_side, energy, flux_side): both coarse quadratic forms
     bound the block energy from below; the a_* form in the mean gradient holds
     for any w, the a^{-1} form in the mean flux requires w a-harmonic."""
-    op = CubeOperator(field, cube)
-    pair = coarse_pair(field, cube)
     g = op.mean_gradient(w)
     energy = op.energy(w)
     grad_side = float(0.5 * g @ pair.a_star @ g)
@@ -205,10 +193,9 @@ def energy_map_check(field, cube, w, flux=True):
     return grad_side, energy, flux_side
 
 
-def first_variation_sides(field, cube, w, p, q, v_solution) -> tuple[float, float]:
+def first_variation_sides(op, w, p, q, v_solution) -> tuple[float, float]:
     """(q . mean grad w - p . mean flux w, mean grad w . a grad v); equal for
     discrete a-harmonic w."""
-    op = CubeOperator(field, cube)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     lhs = float(q @ op.mean_gradient(w) - p @ op.mean_flux(w))
@@ -216,14 +203,14 @@ def first_variation_sides(field, cube, w, p, q, v_solution) -> tuple[float, floa
     return lhs, rhs
 
 
-def second_variation_sides(field, cube, w, p, q, v_solution) -> tuple[float, float]:
+def second_variation_sides(op, pair: CoarseGrainedPair, w, p, q,
+                           v_solution) -> tuple[float, float]:
     """(J - objective(w), energy of v - w); equal for discrete a-harmonic w,
     where objective(w) = mean(-1/2 grad w.a grad w - p.a grad w + q.grad w)
     is the quantity the maximizer v optimizes."""
-    op = CubeOperator(field, cube)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    j = j_functional(field, cube, p, q)
+    j = j_functional(pair, p, q)
     objective = -op.energy(w) - p @ op.mean_flux(w) + q @ op.mean_gradient(w)
     lhs = j - objective
     diff = v_solution.values - w
@@ -231,28 +218,27 @@ def second_variation_sides(field, cube, w, p, q, v_solution) -> tuple[float, flo
     return float(lhs), float(rhs)
 
 
-def fluxmap_sides(field, cube, w, p, q) -> tuple[float, float]:
+def fluxmap_sides(op, pair: CoarseGrainedPair, w, p, q) -> tuple[float, float]:
     """Cauchy-Schwarz flux-map bound:
     |mean(p.a grad w - q.grad w)| <= (2J)^(1/2) (mean grad.a grad)^(1/2).
     Both sides are linear in (p, q).  They are formed at (p, q) / 2^e, with
     2^e the binary order of max(|p|, |q|), and scaled back: J, quadratic in
     (p, q), does not underflow, and a power of two changes no other bit."""
-    op = CubeOperator(field, cube)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     e = math.frexp(float(max(np.abs(p).max(), np.abs(q).max())))[1]
     p, q = np.ldexp(p, -e), np.ldexp(q, -e)
     lhs = abs(float(p @ op.mean_flux(w) - q @ op.mean_gradient(w)))
-    j = max(j_functional(field, cube, p, q), 0.0)
+    j = max(j_functional(pair, p, q), 0.0)
     rhs = float(np.sqrt(2.0 * j) * np.sqrt(2.0 * op.energy(w)))
     return math.ldexp(lhs, e), math.ldexp(rhs, e)
 
 
-def integral_bound_slacks(field, cube) -> tuple[float, float]:
+def integral_bound_slacks(op, pair: CoarseGrainedPair) -> tuple[float, float]:
     """Min eigenvalues of (cell arithmetic mean - a) and
-    (cell inverse mean - a_*^{-1}); both >= 0 up to tolerance."""
-    pair = coarse_pair(field, cube)
-    cells = field.cells_in(cube).reshape(-1, field.dimension, field.dimension)
+    (cell inverse mean - a_*^{-1}); both >= 0 up to tolerance.  The cells are
+    the operator's, one cube's in C order."""
+    cells = op.cell_matrices
     arith = cells.mean(axis=0)
     harm_data = np.linalg.inv(cells).mean(axis=0)
     s1 = float(np.linalg.eigvalsh(arith - pair.a)[0])

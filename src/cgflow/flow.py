@@ -31,7 +31,6 @@ from .errors import (
 )
 from .grid import EnsembleSpec, TriadicCube, generate
 from .coarse import coarse_pair
-from . import multiscale
 
 # Largest share of Monte Carlo samples that may abort before a run fails.
 MAX_ABORT_FRACTION = 0.1
@@ -171,11 +170,13 @@ class FlowRecord:
         cov = pairs @ pairs.transpose(0, 2, 1) * np.true_divide(1, n - 1)
         var = (y * y * cov[:, 0, 0] + x * x * cov[:, 1, 1] + 2 * x * y * cov[:, 0, 1]) / n
         self.theta, self.theta_se = x * y, np.sqrt(np.maximum(var, 0.0))
-        # Additivity defect between consecutive levels at (p, q) = (e_1, e_1);
-        # per-sample values give the correlated SE.
-        e1 = np.eye(self.dimension)[0]
-        levels = np.arange(1, self.max_level + 1)
-        tau, tau_se = _tau(self, levels, levels - 1, e1, e1)
+        # Additivity defect between consecutive levels at (p, q) = (e_1, e_1),
+        # 1/2 (a_{n-1} - a_n) + 1/2 (a_*^{-1}_{n-1} - a_*^{-1}_n) per sample;
+        # the per-sample values, each level's summed along one contiguous
+        # row, give the correlated SE.
+        vals = 0.5 * (a_s[:, :-1] - a_s[:, 1:]) + 0.5 * (ainv_s[:, :-1] - ainv_s[:, 1:])
+        vals = np.ascontiguousarray(vals.T)
+        tau, tau_se = vals.mean(axis=-1), vals.std(axis=-1, ddof=1) / math.sqrt(n)
         self.tau_prev = np.concatenate([[math.nan], tau])
         self.tau_prev_se = np.concatenate([[math.nan], tau_se])
 
@@ -355,71 +356,3 @@ def scale_from_record(record: FlowRecord, sigma: float) -> HomogenizationScale:
             confident = theta + 2.0 * float(record.theta_se[n]) <= 1.0 + sigma
             return HomogenizationScale(n, confident, sigma)
     return HomogenizationScale(None, False, sigma)
-
-
-def _tau(record: FlowRecord, n, k, p, q):
-    """tau_from_record for levels k < n or for arrays of them, without the
-    checks: the means and SEs of the per-sample values, each summed along
-    one contiguous row."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    a, ainv = record.a_samples, record.astar_inv_samples
-    vals = 0.5 * (p @ p) * (a[:, k] - a[:, n]) \
-        + 0.5 * (q @ q) * (ainv[:, k] - ainv[:, n])
-    vals = np.ascontiguousarray(vals.T)
-    return vals.mean(axis=-1), vals.std(axis=-1, ddof=1) / math.sqrt(vals.shape[-1])
-
-
-def tau_from_record(record: FlowRecord, n: int, k: int, p, q):
-    """Expected additivity defect between levels k < n at directions (p, q),
-    1/2 |p|^2 (a_k - a_n) + 1/2 |q|^2 (a_*^{-1}_k - a_*^{-1}_n) per sample in
-    the recorded traces; SE from the per-sample values."""
-    if not (0 <= k < n <= record.max_level):
-        raise ParameterError(f"need 0 <= k < n <= {record.max_level}")
-    return tuple(map(float, _tau(record, n, k, p, q)))
-
-
-def contraction_diagnostics(record: FlowRecord, spec: EnsembleSpec,
-                            dimension: int, delta: float, sigma: float = 0.5,
-                            h: int = 1, s: float = 0.25, t: float = 0.25) -> dict:
-    """Measurable ingredients of the one-step contraction estimate at a
-    pigeonhole good scale; reported, never asserted (the bound's constant is
-    not specified)."""
-    sel = pigeonhole_select(record, delta, sigma, h)
-    if sel.variant != "good_scale":
-        raise ParameterError(
-            "no pigeonhole good scale in the record; contrast already contracted"
-        )
-    n = sel.level
-    abar_s = float(record.abar[n])
-    astar_s = 1.0 / float(record.astar_inv[n])
-    m0 = math.sqrt(abar_s * astar_s)
-    e1 = np.zeros(dimension)
-    e1[0] = 1.0
-    p_c = m0 ** -0.5 * e1
-    q_c = m0 ** 0.5 * e1
-    tau_val, tau_se = tau_from_record(record, n, n - h, p_c, q_c)
-
-    ratios = [
-        {"level": int(m), "ratio": float((record.theta[m] - 1.0) / record.theta[0])}
-        for m in range(n, record.max_level + 1)
-    ]
-    report = {
-        "good_scale": n,
-        "h": h,
-        "delta": delta,
-        "m0": m0,
-        "p": [float(x) for x in p_c],
-        "q": [float(x) for x in q_c],
-        "tau": tau_val,
-        "tau_se": tau_se,
-        "delta_quarter": delta ** 0.25,
-        "theta_ratios": ratios,
-    }
-    if n >= 1:
-        field = generate(spec.with_seed(spec.seed), dimension, n)
-        report["weak_norms"] = multiscale.weak_norm_diagnostics(
-            field, field.cube, p_c, q_c, np.zeros(dimension),
-            np.zeros(dimension), s, t, base_level=0,
-        )
-    return report

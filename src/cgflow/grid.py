@@ -176,8 +176,7 @@ class EnsembleSpec:
 class CoefficientField:
     """Cell-wise constant SPD matrices on the cube of side 3**ambient_level.
 
-    Immutable and holds no cache; memoized results live with the code that
-    computes them."""
+    Immutable and holds no cache."""
 
     def __init__(self, dimension, ambient_level, cells):
         if dimension not in (1, 2, 3):

@@ -18,9 +18,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapacityError, ParameterError
 from .grid import CoefficientField, TriadicCube
-from .solver import CubeOperator, solve_v
 # coarse_pair stays in this namespace: perfbench/tracing.py wraps it here.
-from .coarse import coarse_pair, level_pairs, mean_j  # noqa: F401
+from .coarse import CoarseGrainedPair, coarse_pair, level_pairs  # noqa: F401
 
 INF = math.inf
 DEFAULT_BUDGET_CAP = 2_000_000
@@ -218,9 +217,11 @@ def besov_positive(g, dimension: int, s: float, p: float, q: float) -> float:
 
 @dataclass
 class MultiscaleLadder:
-    """Per-scale coarse pairs over all subcubes of a cube, with maxima."""
+    """Per-scale coarse pairs over all subcubes of a cube, with maxima, and
+    the whole cube's pair (the top level's one entry)."""
 
     cube: TriadicCube
+    pair: CoarseGrainedPair
     a_all: list[np.ndarray]          # per level k: (count, d, d) Dirichlet matrices
     a_star_inv_all: list[np.ndarray]  # per level k: (count, d, d)
     max_a_norm: np.ndarray           # per level k
@@ -236,8 +237,8 @@ def ladder(field: CoefficientField, cube: TriadicCube,
     """Coarse pairs on every subcube at every level 0..m, from level_pairs
     (the cells at level 0; above it one block-diagonal Dirichlet and one
     Neumann solve per stack, one stack per level while the whole cube's
-    solves are within the direct cost cap).  The pairs do not enter
-    coarse_pair's memo."""
+    solves are within the direct cost cap).  The top level's pair is the
+    ladder's `pair`, equal to coarse_pair(field, cube)."""
     d = field.dimension
     m = cube.level
     total = sum(3 ** (d * (m - k)) for k in range(m + 1))
@@ -248,13 +249,14 @@ def ladder(field: CoefficientField, cube: TriadicCube,
 
     a_all, ainv_all = [], []
     for k in range(m + 1):
-        a, _, a_star_inv, _ = level_pairs(field, cube, k)
+        a, a_star, a_star_inv, residuals = level_pairs(field, cube, k)
         a_all.append(a)
         ainv_all.append(a_star_inv)
+    pair = CoarseGrainedPair(cube, a[0], a_star[0], a_star_inv[0], residuals)
 
     max_a = np.array([np.linalg.eigvalsh(arr)[:, -1].max() for arr in a_all])
     max_ainv = np.array([np.linalg.eigvalsh(arr)[:, -1].max() for arr in ainv_all])
-    return MultiscaleLadder(cube, a_all, ainv_all, max_a, max_ainv)
+    return MultiscaleLadder(cube, pair, a_all, ainv_all, max_a, max_ainv)
 
 
 def ellipticity_constants(lad: MultiscaleLadder, exps: ExponentSet,
@@ -309,28 +311,28 @@ def multiscale_defect(lad: MultiscaleLadder, abar, s: float, q: float,
     )
 
 
-def cg_poincare_check(field: CoefficientField, cube: TriadicCube, u: np.ndarray,
+def cg_poincare_check(op, lad: MultiscaleLadder, u: np.ndarray,
                       s: float, q: float) -> dict:
     """Both lines of the coarse-grained Poincare inequality with the explicit
-    constants c_{sq}^{-1/q} lambda^{-1/2} and c_{sq}^{-1/q} Lambda^{1/2}.
+    constants c_{sq}^{-1/q} lambda^{-1/2} and c_{sq}^{-1/q} Lambda^{1/2}, on
+    the cube of `lad`, whose one-cube operator is `op`.
 
     The gradient line holds for every discrete function; the flux line needs
     u discrete a-harmonic (otherwise PreconditionError)."""
-    op = CubeOperator(field, cube)
-    lad = ladder(field, cube)
     exps = ExponentSet(s, s, q)
     Lambda, lam = ellipticity_constants(lad, exps)
-    m = cube.level
+    m = lad.top_level
+    d = op.dimension
     cfac = exps.c_sq ** (-1.0 / q)
     energy_norm = math.sqrt(max(2.0 * op.energy(u), 0.0))
 
-    grid_shape = (cube.side,) * field.dimension + (field.dimension,)
+    grid_shape = (lad.cube.side,) * d + (d,)
     grads = op.cell_gradients(u).reshape(grid_shape)
-    lhs_grad = 3.0 ** (-s * m) * besov_ring(grads, field.dimension, s, 2.0, q)
+    lhs_grad = 3.0 ** (-s * m) * besov_ring(grads, d, s, 2.0, q)
     rhs_grad = cfac * lam ** -0.5 * energy_norm
     op.require_harmonic(u)
     fluxes = op.cell_fluxes(u).reshape(grid_shape)
-    lhs_flux = 3.0 ** (-s * m) * besov_ring(fluxes, field.dimension, s, 2.0, q)
+    lhs_flux = 3.0 ** (-s * m) * besov_ring(fluxes, d, s, 2.0, q)
     rhs_flux = cfac * Lambda ** 0.5 * energy_norm
     return {
         "s": s,
@@ -343,89 +345,4 @@ def cg_poincare_check(field: CoefficientField, cube: TriadicCube, u: np.ndarray,
         "lhs_flux": float(lhs_flux),
         "rhs_flux": float(rhs_flux),
         "flux_ok": bool(lhs_flux <= rhs_flux * (1.0 + 1e-7) + 1e-300),
-    }
-
-
-def weak_norm_diagnostics(field: CoefficientField, cube: TriadicCube,
-                          p, q_vec, p0, q0, s: float, t: float,
-                          s_prime=None, t_prime=None, base_level: int = 0) -> dict:
-    """Measurable ingredients of the weak-norm estimates for the maximizer of
-    J(cube, p, q): the two left-hand sides and every term of the right-hand
-    sides.  The bounds carry an unspecified dimensional constant and are
-    reported, never asserted."""
-    d = field.dimension
-    m = cube.level
-    p = np.asarray(p, dtype=float)
-    q_vec = np.asarray(q_vec, dtype=float)
-    p0 = np.asarray(p0, dtype=float)
-    q0 = np.asarray(q0, dtype=float)
-    if s_prime is None:
-        s_prime = s / 2.0
-    if t_prime is None:
-        t_prime = t / 2.0
-    if not (s / 2.0 <= s_prime <= s) or not (t / 2.0 <= t_prime <= t):
-        raise ParameterError("s' must lie in [s/2, s] (and t' in [t/2, t])")
-    k = base_level
-    if not (0 <= k < m):
-        raise ParameterError(f"base_level must lie in [0, {m})")
-
-    op = CubeOperator(field, cube)
-    lad = ladder(field, cube)
-    v = solve_v(field, cube, p, q_vec)
-    grid_shape = (cube.side,) * d + (d,)
-    grads = op.cell_gradients(v.values).reshape(grid_shape)
-    fluxes = op.cell_fluxes(v.values).reshape(grid_shape)
-
-    lhs_grad = 3.0 ** (-s * m) * besov_ring(grads - p0, d, s, 2.0, 1.0)
-    lhs_flux = 3.0 ** (-t * m) * besov_ring(fluxes - q0, d, t, 2.0, 1.0)
-
-    j_m = mean_j(lad.a_all[m], lad.a_star_inv_all[m], p, q_vec)
-    lam_sp = ellipticity_constants(lad, ExponentSet(s_prime, s_prime, 1.0))[1]
-    Lam_tp = ellipticity_constants(lad, ExponentSet(t_prime, t_prime, 1.0))[0]
-
-    dev_grad = []
-    dev_flux = []
-    j_increments = []
-    for j in range(k + 1, m + 1):
-        a_j = lad.a_all[j]
-        ainv_j = lad.a_star_inv_all[j]
-        dg = ainv_j @ q_vec - p - p0
-        df = q_vec - a_j @ p - q0
-        dev_grad.append(
-            3.0 ** (-s * (m - j)) * float(np.sqrt(np.mean(np.sum(dg ** 2, axis=1))))
-        )
-        dev_flux.append(
-            3.0 ** (-t * (m - j)) * float(np.sqrt(np.mean(np.sum(df ** 2, axis=1))))
-        )
-        j_increments.append(max(mean_j(a_j, ainv_j, p, q_vec) - j_m, 0.0))
-
-    jsum_grad = lam_sp ** -0.5 * sum(
-        3.0 ** (-(s - s_prime) * (m - j)) * inc ** 0.5
-        for j, inc in zip(range(k + 1, m + 1), j_increments)
-    )
-    jsum_flux = Lam_tp ** 0.5 * sum(
-        3.0 ** (-(t - t_prime) * (m - j)) * inc ** 0.5
-        for j, inc in zip(range(k + 1, m + 1), j_increments)
-    )
-    jpos = max(j_m, 0.0)
-    boundary_grad = (
-        s ** -0.5 * 3.0 ** (-(s - s_prime) * (m - k)) * lam_sp ** -0.5 * jpos ** 0.5,
-        s ** -1.0 * 3.0 ** (-s * (m - k)) * float(np.linalg.norm(p0)),
-    )
-    boundary_flux = (
-        t ** -0.5 * 3.0 ** (-(t - t_prime) * (m - k)) * Lam_tp ** 0.5 * jpos ** 0.5,
-        t ** -1.0 * 3.0 ** (-t * (m - k)) * float(np.linalg.norm(q0)),
-    )
-    return {
-        "lhs_gradient": float(lhs_grad),
-        "lhs_flux": float(lhs_flux),
-        "deviation_terms_gradient": dev_grad,
-        "deviation_terms_flux": dev_flux,
-        "j_increment_sum_gradient": float(jsum_grad),
-        "j_increment_sum_flux": float(jsum_flux),
-        "boundary_terms_gradient": [float(x) for x in boundary_grad],
-        "boundary_terms_flux": [float(x) for x in boundary_flux],
-        "j_value": float(j_m),
-        "lambda_s_prime": float(lam_sp),
-        "Lambda_t_prime": float(Lam_tp),
     }

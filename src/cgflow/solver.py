@@ -659,22 +659,20 @@ class BlockSolution:
         return self.operator.mean_flux(self.values)
 
 
-def solve_v(field, cube, p, q) -> BlockSolution:
+def solve_v(op: CubeOperator, p, q) -> BlockSolution:
     """The combined maximizer: Dirichlet part with affine data l_{-p} plus the
     Neumann part with flux q.  Its volume-normalized energy equals J(cube, p, q)
     up to solver tolerance."""
-    op = CubeOperator(field, cube)
     p = np.asarray(p, dtype=float)
     wd = op.solve_dirichlet(-p)
     wn = op.solve_neumann(q)
     return BlockSolution(op, wd.values + wn.values, max(wd.residual, wn.residual))
 
 
-def harmonic_pool(field, cube, count, seed) -> list[np.ndarray]:
+def harmonic_pool(op: CubeOperator, count, seed) -> list[np.ndarray]:
     """Seeded pool of discrete a-harmonic functions from random boundary data.
     The seed is taken mod 2**64, like the cell streams' (derived seeds such as
     seed + level may pass the top of the range)."""
-    op = CubeOperator(field, cube)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed & (2 ** 64 - 1))))
     data = rng.standard_normal((count, np.count_nonzero(op.boundary)))
     return list(np.ascontiguousarray(op.solve_dirichlet_data(data.T).values.T))

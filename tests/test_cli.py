@@ -685,3 +685,55 @@ def test_verification_solves_with_the_solver_settings(solver_settings, banded_ca
     report = run_verification(seed=3, cases=2)
     assert report["failed"] is None
     assert banded_calls == []
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not strict JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("name, sides, check", [
+    # A lower-bound check and a relative one.
+    ("response_defect", (math.nan, math.nan), "response_map"),
+    ("first_variation_sides", (math.nan, 0.0), "first_variation"),
+])
+def test_verify_fails_on_a_nan(tmp_path, capsys, monkeypatch, name, sides, check):
+    # A NaN passes no comparison: it must fail its check, not be skipped,
+    # and verify.json writes it as null.
+    monkeypatch.setattr(cgflow.cli, name, lambda *args: sides)
+    cfg = write_config(tmp_path, "v.json", {"seed": 1, "cases": 2})
+    assert main(["verify", "--config", cfg]) == 1
+    report = _strict_json(capsys.readouterr().out)
+    assert report["failed"] == check
+    assert report["worst"][check] is None
+
+
+def test_verification_solves_each_top_pair_once(monkeypatch):
+    # Per instance, one level_pairs call at the top level (the ladder's,
+    # whose pair every check reads), and two one-cube operators of the top
+    # cube: the checks' and the one the top level's pair solves on.
+    from cgflow import coarse, multiscale, solver
+
+    top_pairs, top_ops, fields = {}, {}, {}
+    for mod in (coarse, multiscale):
+        def counted(field, cube, level, _inner=mod.level_pairs):
+            if level == cube.level:
+                fields[id(field)] = field
+                top_pairs[id(field)] = top_pairs.get(id(field), 0) + 1
+            return _inner(field, cube, level)
+        monkeypatch.setattr(mod, "level_pairs", counted)
+    init = solver.CubeOperator.__init__
+
+    def counted_init(self, field, cube, level=None):
+        if cube == field.cube and level in (None, cube.level):
+            fields[id(field)] = field
+            top_ops[id(field)] = top_ops.get(id(field), 0) + 1
+        init(self, field, cube, level)
+    monkeypatch.setattr(solver.CubeOperator, "__init__", counted_init)
+
+    report = run_verification(seed=3, cases=2)
+    assert report["failed"] is None
+    assert len(fields) == report["cases"] == 4
+    assert list(top_pairs.values()) == [1] * 4
+    assert list(top_ops.values()) == [2] * 4

@@ -64,13 +64,15 @@ def test_1d_j_value():
     # J = (p - q/h)^2 h / 2 with h the harmonic mean: here h = 12/7,
     # p = q = 1 gives (1 - 7/12)^2 * 6/7 = 25/168.
     f = cells_1d([1.0, 2.0, 4.0])
-    assert j_functional(f, f.cube, [1.0], [1.0]) == pytest.approx(25.0 / 168.0, abs=1e-12)
+    pair = coarse_pair(f, f.cube)
+    assert j_functional(pair, [1.0], [1.0]) == pytest.approx(25.0 / 168.0, abs=1e-12)
 
 
 def test_1d_subadditivity_value():
     # avg_cells J(cell, 1, 0) - J(box, 1, 0) = 7/6 - 6/7 = 13/42.
     f = cells_1d([1.0, 2.0, 4.0])
-    assert subadditivity_defect(f, f.cube, 0, [1.0], [0.0]) == pytest.approx(
+    pair = coarse_pair(f, f.cube)
+    assert subadditivity_defect(f, pair, 0, [1.0], [0.0]) == pytest.approx(
         13.0 / 42.0, abs=1e-12
     )
 
@@ -83,7 +85,7 @@ def test_constant_field_pair_collapses():
     pair = coarse_pair(f, f.cube)
     np.testing.assert_allclose(pair.a, 3.0 * np.eye(2), atol=1e-10)
     np.testing.assert_allclose(pair.a_star, 3.0 * np.eye(2), atol=1e-10)
-    assert j_functional(f, f.cube, [1.0, 0.0], [3.0, 0.0]) == pytest.approx(0.0, abs=1e-10)
+    assert j_functional(pair, [1.0, 0.0], [3.0, 0.0]) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_unit_cell_pair_is_cell_matrix():
@@ -104,9 +106,14 @@ def test_pair_matrices_are_read_only():
                 mat[0, 0] = 0.0
 
 
-def test_pair_is_memoized():
+def test_pair_is_recomputed_per_call():
+    # Nothing is memoized: two calls give two pairs with the same bits.
     f = lognormal_field(2, 1, seed=2)
-    assert coarse_pair(f, f.cube) is coarse_pair(f, f.cube)
+    first, second = coarse_pair(f, f.cube), coarse_pair(f, f.cube)
+    assert first is not second
+    for name in ("a", "a_star", "a_star_inv"):
+        np.testing.assert_array_equal(getattr(first, name), getattr(second, name))
+    assert first.residuals == second.residuals
 
 
 def test_2d_level4_pair_is_two_banded_solves_in_bounded_memory(banded_calls):
@@ -204,7 +211,7 @@ def test_ordering_a_star_below_a():
 def test_integral_bounds():
     for seed in range(5):
         f = lognormal_field(2, 2, seed=10 + seed)
-        s1, s2 = integral_bound_slacks(f, f.cube)
+        s1, s2 = integral_bound_slacks(CubeOperator(f, f.cube), coarse_pair(f, f.cube))
         assert s1 >= -1e-9
         assert s2 >= -1e-9
 
@@ -224,22 +231,23 @@ def test_pair_order_bounds(d, level, ensemble, seed, pq):
     harm = np.linalg.inv(cells).mean(axis=0)
     a_max = np.linalg.eigvalsh(pair.a)[-1]
     assert np.linalg.eigvalsh(pair.gap)[0] >= -1e-9 * a_max
-    s1, s2 = integral_bound_slacks(f, f.cube)
+    op = CubeOperator(f, f.cube)
+    s1, s2 = integral_bound_slacks(op, pair)
     assert s1 >= -1e-9 * np.linalg.eigvalsh(arith)[-1]
     assert s2 >= -1e-9 * np.linalg.eigvalsh(harm)[-1]
     # J(p, q) >= 0 and the level-0 subadditivity defect >= 0 at the drawn
     # (p, q), to 1e-9 of the cells' mean quadratic terms, which bound J's.
     p, q = np.array(pq[:d]), np.array(pq[3:3 + d])
     scale = 0.5 * (p @ arith @ p + q @ harm @ q)
-    assert j_functional(f, f.cube, p, q) >= -1e-9 * scale
-    assert subadditivity_defect(f, f.cube, 0, p, q) >= -1e-9 * scale
+    assert j_functional(pair, p, q) >= -1e-9 * scale
+    assert subadditivity_defect(f, pair, 0, p, q) >= -1e-9 * scale
     # The response- and flux-map bounds for one a-harmonic w, with the gap
     # and J known to 1e-9 of their scales as above.
-    w = harmonic_pool(f, f.cube, 1, seed=seed)[0]
-    two_energy = 2.0 * CubeOperator(f, f.cube).energy(w)
-    lhs, rhs = response_defect(f, f.cube, w)
+    w = harmonic_pool(op, 1, seed=seed)[0]
+    two_energy = 2.0 * op.energy(w)
+    lhs, rhs = response_defect(op, pair, w)
     assert lhs <= rhs + np.sqrt(1e-9 * a_max * two_energy)
-    lhs, rhs = fluxmap_sides(f, f.cube, w, p, q)
+    lhs, rhs = fluxmap_sides(op, pair, w, p, q)
     assert lhs <= rhs + np.sqrt(2e-9 * scale * two_energy)
 
 
@@ -262,8 +270,8 @@ def test_j_equals_maximizer_energy():
         f = lognormal_field(2, 2, seed=20 + seed)
         rng = np.random.default_rng(seed)
         p, q = rng.standard_normal(2), rng.standard_normal(2)
-        v = solve_v(f, f.cube, p, q)
-        j = j_functional(f, f.cube, p, q)
+        v = solve_v(CubeOperator(f, f.cube), p, q)
+        j = j_functional(coarse_pair(f, f.cube), p, q)
         assert v.energy == pytest.approx(j, rel=1e-9, abs=1e-12)
 
 
@@ -272,30 +280,32 @@ def test_subadditivity_nonnegative_random():
     for seed in range(5):
         f = lognormal_field(2, 2, seed=30 + seed)
         p, q = rng.standard_normal(2), rng.standard_normal(2)
+        pair = coarse_pair(f, f.cube)
         for level in (0, 1):
-            assert subadditivity_defect(f, f.cube, level, p, q) >= -1e-9
+            assert subadditivity_defect(f, pair, level, p, q) >= -1e-9
 
 
 def test_subadditivity_level_validation():
     f = lognormal_field(2, 1, seed=4)
     with pytest.raises(ParameterError):
-        subadditivity_defect(f, f.cube, 1, [1.0, 0.0], [0.0, 0.0])
+        subadditivity_defect(f, coarse_pair(f, f.cube), 1, [1.0, 0.0], [0.0, 0.0])
 
 
 # -- identities on harmonic functions ------------------------------------
 
 
-def harmonic_samples(f, count=3, seed=99):
-    return harmonic_pool(f, f.cube, count, seed=seed)
+def harmonic_samples(op, count=3, seed=99):
+    return harmonic_pool(op, count, seed=seed)
 
 
 def test_first_variation_identity():
     f = lognormal_field(2, 2, seed=40)
     rng = np.random.default_rng(7)
     p, q = rng.standard_normal(2), rng.standard_normal(2)
-    v = solve_v(f, f.cube, p, q)
-    for w in harmonic_samples(f):
-        lhs, rhs = first_variation_sides(f, f.cube, w, p, q, v)
+    op = CubeOperator(f, f.cube)
+    v = solve_v(op, p, q)
+    for w in harmonic_samples(op):
+        lhs, rhs = first_variation_sides(op, w, p, q, v)
         assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-10)
 
 
@@ -303,16 +313,19 @@ def test_second_variation_identity():
     f = lognormal_field(2, 2, seed=41)
     rng = np.random.default_rng(8)
     p, q = rng.standard_normal(2), rng.standard_normal(2)
-    v = solve_v(f, f.cube, p, q)
-    for w in harmonic_samples(f):
-        lhs, rhs = second_variation_sides(f, f.cube, w, p, q, v)
+    op = CubeOperator(f, f.cube)
+    pair = coarse_pair(f, f.cube)
+    v = solve_v(op, p, q)
+    for w in harmonic_samples(op):
+        lhs, rhs = second_variation_sides(op, pair, w, p, q, v)
         assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-10)
 
 
 def test_response_map_bound():
     f = lognormal_field(2, 2, seed=42)
-    for w in harmonic_samples(f):
-        lhs, rhs = response_defect(f, f.cube, w)
+    op, pair = CubeOperator(f, f.cube), coarse_pair(f, f.cube)
+    for w in harmonic_samples(op):
+        lhs, rhs = response_defect(op, pair, w)
         assert lhs <= rhs * (1.0 + 1e-8) + 1e-12
 
 
@@ -320,8 +333,9 @@ def test_flux_map_bound():
     f = lognormal_field(2, 2, seed=43)
     rng = np.random.default_rng(9)
     p, q = rng.standard_normal(2), rng.standard_normal(2)
-    for w in harmonic_samples(f):
-        lhs, rhs = fluxmap_sides(f, f.cube, w, p, q)
+    op, pair = CubeOperator(f, f.cube), coarse_pair(f, f.cube)
+    for w in harmonic_samples(op):
+        lhs, rhs = fluxmap_sides(op, pair, w, p, q)
         assert lhs <= rhs * (1.0 + 1e-8) + 1e-12
 
 
@@ -329,23 +343,26 @@ def test_flux_map_bound_at_tiny_directions():
     # J = 1/2 a p^2 would underflow to 0 at |p| ~ 1e-163 and leave the
     # right-hand side 0 below a nonzero left-hand side.
     f = generate(EnsembleSpec("constant", {"value": 2.0}), 1, 1)
-    w = harmonic_pool(f, f.cube, 1, seed=0)[0]
-    lhs, rhs = fluxmap_sides(f, f.cube, w, [1.36e-163], [0.0])
+    op = CubeOperator(f, f.cube)
+    w = harmonic_pool(op, 1, seed=0)[0]
+    lhs, rhs = fluxmap_sides(op, coarse_pair(f, f.cube), w, [1.36e-163], [0.0])
     assert lhs > 0.0
     assert lhs <= rhs * (1.0 + 1e-12)
     # Both sides are linear in (p, q): a power of two moves them exactly.
     g = lognormal_field(2, 2, seed=43)
     p, q = np.random.default_rng(9).standard_normal((2, 2))
-    w = harmonic_samples(g)[0]
-    sides = fluxmap_sides(g, g.cube, w, p, q)
-    tiny = fluxmap_sides(g, g.cube, w, np.ldexp(p, -600), np.ldexp(q, -600))
+    op, pair = CubeOperator(g, g.cube), coarse_pair(g, g.cube)
+    w = harmonic_samples(op)[0]
+    sides = fluxmap_sides(op, pair, w, p, q)
+    tiny = fluxmap_sides(op, pair, w, np.ldexp(p, -600), np.ldexp(q, -600))
     assert tiny == tuple(math.ldexp(x, -600) for x in sides)
 
 
 def test_energy_maps_bound_block_energy():
     f = lognormal_field(2, 2, seed=44)
-    for w in harmonic_samples(f):
-        g_side, energy, f_side = energy_map_check(f, f.cube, w)
+    op, pair = CubeOperator(f, f.cube), coarse_pair(f, f.cube)
+    for w in harmonic_samples(op):
+        g_side, energy, f_side = energy_map_check(op, pair, w)
         assert g_side <= energy * (1.0 + 1e-8) + 1e-12
         assert f_side <= energy * (1.0 + 1e-8) + 1e-12
 
@@ -355,7 +372,7 @@ def test_energy_map_gradient_side_any_function():
     f = lognormal_field(2, 1, seed=45)
     op = CubeOperator(f, f.cube)
     w = np.random.default_rng(3).standard_normal(op.n_nodes)
-    g_side, energy, _ = energy_map_check(f, f.cube, w, flux=False)
+    g_side, energy, _ = energy_map_check(op, coarse_pair(f, f.cube), w, flux=False)
     assert g_side <= energy * (1.0 + 1e-8)
 
 
@@ -424,7 +441,7 @@ def test_degenerate_neumann_solutions_are_consistency_error(monkeypatch):
         coarse_pair(f, f.cube)
 
 
-def test_pair_memo_does_not_keep_its_field_alive():
+def test_pair_does_not_keep_its_field_alive():
     f = lognormal_field(2, 1, seed=49)
     coarse_pair(f, f.cube)
     ref = weakref.ref(f)

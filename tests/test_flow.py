@@ -9,12 +9,10 @@ from cgflow import (
     EnsembleSpec,
     ParameterError,
     PigeonholeDiagnosticError,
-    contraction_diagnostics,
     pigeonhole_select,
     run_flow,
     scale_from_record,
     synthetic_record,
-    tau_from_record,
 )
 from cgflow import TriadicCube, coarse_pair, flow, generate
 
@@ -368,56 +366,32 @@ def test_scale_not_reached():
 def test_tau_constant_is_zero():
     spec = EnsembleSpec("constant", {"value": 2.0})
     record = run_flow(spec, 2, 1, samples=3)
-    val, se = tau_from_record(record, 1, 0, [1.0, 0.0], [0.0, 1.0])
+    val, se = record.tau_prev[1], record.tau_prev_se[1]
     assert val == pytest.approx(0.0, abs=1e-10)
     assert se == pytest.approx(0.0, abs=1e-12)
 
 
-def test_tau_zero_directions():
-    record = run_flow(two_phase(2.0, 0.5, seed=2), 1, 1, samples=3)
-    val, se = tau_from_record(record, 1, 0, [0.0], [0.0])
-    assert val == 0.0
-
-
 def test_tau_1d_oracle_value():
-    # tau(2, 0; p=1, q=0) = (E[a_cell] - E[H_2]) / 2 with H_2 the block
-    # harmonic mean; check against direct cell statistics on the same seeds.
+    # tau_prev[n] = tau(n, n - 1; p=1, q=1) = E[(H_{n-1} - H_n) / 2
+    # + (1/H_{n-1} - 1/H_n) / 2] with H_k the harmonic mean of the level-k
+    # corner block; check against direct cell statistics on the same seeds.
     spec = two_phase(3.0, 0.5, seed=4)
     samples = 12
     record = run_flow(spec, 1, 2, samples=samples, method="oracle")
-    val, se = tau_from_record(record, 2, 0, [1.0], [0.0])
-    direct = []
-    for i in range(samples):
-        cells = generate(spec.with_seed(spec.seed + i), 1, 2).cells[:, 0, 0]
-        direct.append(0.5 * (cells[0] - 1.0 / np.mean(1.0 / cells)))
-    assert val == pytest.approx(np.mean(direct), rel=1e-10)
-    assert se >= 0.0
+    fields = [generate(spec.with_seed(spec.seed + i), 1, 2).cells[:, 0, 0]
+              for i in range(samples)]
+    for n in (1, 2):
+        direct = []
+        for cells in fields:
+            h_prev, h = (1.0 / np.mean(1.0 / cells[:3 ** k]) for k in (n - 1, n))
+            direct.append(0.5 * (h_prev - h) + 0.5 * (1.0 / h_prev - 1.0 / h))
+        assert record.tau_prev[n] == pytest.approx(np.mean(direct), rel=1e-10)
+        assert record.tau_prev_se[n] >= 0.0
 
 
 def test_tau_nonnegative_within_noise():
     record = run_flow(two_phase(4.0, 0.25, seed=7), 1, 2, samples=16,
                       method="oracle")
     for n in (1, 2):
-        val, se = tau_from_record(record, n, 0, [1.0], [1.0])
-        assert val >= -2.0 * se
-
-
-def test_tau_validates_levels():
-    record = run_flow(two_phase(2.0, 0.5, seed=1), 1, 1, samples=2,
-                      method="oracle")
-    with pytest.raises(ParameterError):
-        tau_from_record(record, 1, 1, [1.0], [1.0])
-
-
-# -- contraction diagnostics ---------------------------------------------
-
-
-def test_contraction_diagnostics_constant():
-    spec = EnsembleSpec("constant", {"value": 2.0})
-    record = run_flow(spec, 2, 3, samples=2, method="solver")
-    rep = contraction_diagnostics(record, spec, 2, delta=0.5)
-    assert rep["tau"] == pytest.approx(0.0, abs=1e-9)
-    assert rep["m0"] == pytest.approx(2.0, rel=1e-9)
-    assert rep["theta_ratios"][0]["ratio"] == pytest.approx(0.0, abs=1e-9)
-    assert "weak_norms" in rep
+        assert record.tau_prev[n] >= -2.0 * record.tau_prev_se[n]
 

@@ -21,9 +21,8 @@ from cgflow import (
     ladder,
     multiscale_defect,
     subcubes,
-    weak_norm_diagnostics,
 )
-from cgflow.coarse import _PAIRS, mean_j
+from cgflow.coarse import mean_j
 from cgflow.errors import CapacityError, ParameterError
 from cgflow.multiscale import (
     _unit_oscillation,
@@ -262,11 +261,15 @@ def anisotropic_field(d, m, seed):
 ])
 def test_ladder_entries_equal_fresh_pairs(field):
     # Each level's block-diagonal solve gives, in subcubes() order, the pairs
-    # that one-cube solves give; none of them enters the pair memo.  At level
-    # 0 (the cells) and at the top level (the same solve) the bits agree.
+    # that one-cube solves give.  At level 0 (the cells) and at the top level
+    # (the same solve) the bits agree, and the top one is the ladder's pair.
     f = field()
     lad = ladder(f, f.cube)
-    assert f not in _PAIRS
+    top = coarse_pair(f, f.cube)
+    assert lad.pair.cube == f.cube
+    for name in ("a", "a_star", "a_star_inv"):
+        np.testing.assert_array_equal(getattr(lad.pair, name), getattr(top, name))
+    assert lad.pair.residuals == top.residuals
     for k in range(f.ambient_level + 1):
         subs = subcubes(f.cube, k)
         shape = (len(subs), f.dimension, f.dimension)
@@ -488,9 +491,10 @@ def test_defect_validates_exponents():
 def test_poincare_holds_on_random_harmonic_functions():
     for seed in range(3):
         f = lognormal_field(2, 2, seed=50 + seed)
-        for w in harmonic_pool(f, f.cube, 3, seed=seed):
+        op, lad = CubeOperator(f, f.cube), ladder(f, f.cube)
+        for w in harmonic_pool(op, 3, seed=seed):
             for s, q in ((0.25, 1.0), (0.25, 2.0), (0.5, INF)):
-                rep = cg_poincare_check(f, f.cube, w, s, q)
+                rep = cg_poincare_check(op, lad, w, s, q)
                 assert rep["gradient_ok"]
                 assert rep["flux_ok"]
 
@@ -499,31 +503,8 @@ def test_poincare_affine_equality_on_constant_field():
     f = generate(EnsembleSpec("constant", {"value": 3.0}), 2, 2)
     op = CubeOperator(f, f.cube)
     u = op.affine(np.array([1.0, -2.0]))
+    lad = ladder(f, f.cube)
     for s, q in ((0.25, 1.0), (0.25, 2.0), (0.5, INF)):
-        rep = cg_poincare_check(f, f.cube, u, s, q)
+        rep = cg_poincare_check(op, lad, u, s, q)
         assert rep["lhs_gradient"] == pytest.approx(rep["rhs_gradient"], rel=1e-10)
         assert rep["lhs_flux"] == pytest.approx(rep["rhs_flux"], rel=1e-10)
-
-
-# -- weak norm diagnostics ------------------------------------------------
-
-
-def test_weak_norm_diagnostics_report():
-    f = lognormal_field(2, 2, seed=60)
-    p = np.array([1.0, 0.0])
-    q = np.array([1.0, 0.5])
-    rep = weak_norm_diagnostics(f, f.cube, p, q, np.zeros(2), np.zeros(2),
-                                s=0.25, t=0.25)
-    for key in ("lhs_gradient", "lhs_flux", "j_value", "lambda_s_prime",
-                "Lambda_t_prime", "j_increment_sum_gradient"):
-        assert np.isfinite(rep[key])
-    assert rep["lhs_gradient"] >= 0.0
-    assert rep["lhs_flux"] >= 0.0
-    assert len(rep["deviation_terms_gradient"]) == 2
-
-
-def test_weak_norm_diagnostics_validates_s_prime():
-    f = lognormal_field(2, 1, seed=61)
-    with pytest.raises(ParameterError):
-        weak_norm_diagnostics(f, f.cube, np.ones(2), np.ones(2), np.zeros(2),
-                              np.zeros(2), s=0.25, t=0.25, s_prime=0.05)

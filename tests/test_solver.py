@@ -139,8 +139,9 @@ def test_1d_unit_cell_neumann_solve():
     sol = CubeOperator(f, f.cube).solve_neumann([q])
     np.testing.assert_allclose(sol.values, q / a * np.array([-0.5, 0.5]), rtol=1e-14)
     assert sol.energy == pytest.approx(0.5 * q * q / a, rel=1e-14)
-    v = solve_v(f, f.cube, [0.7], [q])
-    assert v.energy == pytest.approx(j_functional(f, f.cube, [0.7], [q]), rel=1e-12)
+    v = solve_v(CubeOperator(f, f.cube), [0.7], [q])
+    assert v.energy == pytest.approx(j_functional(coarse_pair(f, f.cube), [0.7], [q]),
+                                     rel=1e-12)
 
 
 def test_iterative_path_matches_direct(solver_settings, banded_calls):
@@ -187,20 +188,20 @@ def test_solve_v_energy_decomposition():
     p, q = np.array([1.0, -0.5]), np.array([0.5, 2.0])
     wd = op.solve_dirichlet(-p)
     wn = op.solve_neumann(q)
-    v = solve_v(f, f.cube, p, q)
+    v = solve_v(op, p, q)
     cross = wd.values @ (op.stiffness @ wn.values) / op.volume
     assert v.energy == pytest.approx(wd.energy + wn.energy + cross, rel=1e-9)
 
 
 def test_harmonic_pool_is_seeded():
     f = lognormal_field(2, 1, seed=12)
-    a = harmonic_pool(f, f.cube, 3, seed=77)
-    b = harmonic_pool(f, f.cube, 3, seed=77)
-    c = harmonic_pool(f, f.cube, 3, seed=78)
+    op = CubeOperator(f, f.cube)
+    a = harmonic_pool(op, 3, seed=77)
+    b = harmonic_pool(op, 3, seed=77)
+    c = harmonic_pool(op, 3, seed=78)
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
     assert not np.array_equal(a[0], c[0])
-    op = CubeOperator(f, f.cube)
     for w in a:
         op.require_harmonic(w, tol=1e-8)
 
@@ -214,9 +215,10 @@ def test_unit_cube_solves_return_the_boundary_data(d):
     w = op.solve_dirichlet(np.column_stack([p, -p]))
     np.testing.assert_array_equal(w.values, op.affine(np.column_stack([p, -p])))
     assert w.residual == 0.0
-    v = solve_v(f, f.cube, p, q)
-    assert v.energy == pytest.approx(j_functional(f, f.cube, p, q), rel=1e-12)
-    pool = harmonic_pool(f, f.cube, 3, seed=5)
+    v = solve_v(op, p, q)
+    assert v.energy == pytest.approx(j_functional(coarse_pair(f, f.cube), p, q),
+                                     rel=1e-12)
+    pool = harmonic_pool(op, 3, seed=5)
     data = np.random.Generator(np.random.Philox(key=np.uint64(5))).standard_normal(
         (3, 2 ** d))
     np.testing.assert_array_equal(np.array(pool), data)
