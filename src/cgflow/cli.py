@@ -8,6 +8,7 @@ stderr; stdout carries only data.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -143,10 +144,10 @@ def cmd_coarse_grain(config: dict, out_dir, threads: int, seed_override) -> int:
     d = _dimension(config)
     level = _positive_int(config, "level")
     spec = _ensemble(config, seed_override)
-    field = generate(spec, d, level)
+    ambient = root_cube(d, level)
     cube_specs = config.get("cubes")
     if cube_specs is None:
-        cubes = [root_cube(d, level)]
+        cubes = [ambient]
     elif not isinstance(cube_specs, list):
         raise ConfigError(f"cubes must be a list of objects, got {cube_specs!r}")
     else:
@@ -158,9 +159,13 @@ def cmd_coarse_grain(config: dict, out_dir, threads: int, seed_override) -> int:
                     isinstance(o, int) and not isinstance(o, bool) for o in offset):
                 raise ConfigError(f"offset must be a list of integers, got {offset!r}")
             try:
-                cubes.append(TriadicCube(_positive_int(c, "level"), tuple(offset)))
+                cube = TriadicCube(_positive_int(c, "level"), tuple(offset))
             except ParameterError as exc:
                 raise ConfigError(str(exc)) from exc
+            if not ambient.contains(cube):
+                raise ConfigError(f"cube {cube} not inside field cube {ambient}")
+            cubes.append(cube)
+    field = generate(spec, d, level)
     pairs = [coarse_pair(field, cube).to_json_dict() for cube in cubes]
     payload = {"dimension": d, "ensemble": spec.to_json_dict(), "pairs": pairs}
     _emit(out_dir, "coarse_grain.json", json.dumps(payload, indent=2))
@@ -194,6 +199,9 @@ def cmd_flow(config: dict, out_dir, threads: int, seed_override) -> int:
     method = config.get("method", "solver")
     if method not in ("solver", "oracle"):
         raise ConfigError(f"method must be 'solver' or 'oracle', got {method!r}")
+    # Each selector also runs on a flat record of the run's levels, so that
+    # its own rules reject a bad block before any field is generated.
+    flat = flow_mod.synthetic_record(np.ones(max_level + 1), np.ones(max_level + 1))
 
     if "sweep" in config:
         for key in ("pigeonhole", "find_scale"):
@@ -203,13 +211,14 @@ def cmd_flow(config: dict, out_dir, threads: int, seed_override) -> int:
         sweep = config["sweep"]
         _check_keys(sweep, {"thetas", "sigma"}, {"thetas", "sigma"}, "sweep")
         sigma = _number(sweep, "sigma")
+        flow_mod.scale_from_record(flat, sigma)
         thetas = sweep["thetas"]
         if not isinstance(thetas, list) or not all(map(_is_number, thetas)):
             raise ConfigError(f"thetas must be a list of numbers, got {thetas!r}")
         rows = ["theta_cell,n_hat,confident"]
         seed = seed_override if seed_override is not None else 0
-        for theta in thetas:
-            spec = _two_phase_for_contrast(float(theta), seed)
+        specs = [_two_phase_for_contrast(float(theta), seed) for theta in thetas]
+        for theta, spec in zip(thetas, specs):
             record = flow_mod.run_flow(spec, d, max_level, samples, method,
                                        workers=threads)
             scale = flow_mod.scale_from_record(record, sigma)
@@ -220,22 +229,26 @@ def cmd_flow(config: dict, out_dir, threads: int, seed_override) -> int:
         return EXIT_OK
 
     spec = _ensemble(config, seed_override)
-    record = flow_mod.run_flow(spec, d, max_level, samples, method,
-                               workers=threads)
-    payload = record.to_json_dict()
+    selectors = []  # (payload key, function of the record)
     if "pigeonhole" in config:
         ph = config["pigeonhole"]
         _check_keys(ph, {"delta", "sigma", "h"}, {"delta", "sigma"}, "pigeonhole")
-        result = flow_mod.pigeonhole_select(
-            record, _number(ph, "delta"), _number(ph, "sigma"),
-            _positive_int(ph, "h", minimum=1, default=1),
-        )
-        payload["pigeonhole"] = result.to_json_dict()
+        selectors.append(("pigeonhole", functools.partial(
+            flow_mod.pigeonhole_select, delta=_number(ph, "delta"),
+            sigma=_number(ph, "sigma"),
+            h=_positive_int(ph, "h", minimum=1, default=1))))
     if "find_scale" in config:
         fs = config["find_scale"]
         _check_keys(fs, {"sigma"}, {"sigma"}, "find_scale")
-        scale = flow_mod.scale_from_record(record, _number(fs, "sigma"))
-        payload["homogenization_scale"] = scale.to_json_dict()
+        selectors.append(("homogenization_scale", functools.partial(
+            flow_mod.scale_from_record, sigma=_number(fs, "sigma"))))
+    for _, select in selectors:
+        select(flat)
+    record = flow_mod.run_flow(spec, d, max_level, samples, method,
+                               workers=threads)
+    payload = record.to_json_dict()
+    for key, select in selectors:
+        payload[key] = select(record).to_json_dict()
     _emit(out_dir, "flow.csv", record.to_csv())
     _emit(out_dir, "flow.json", json.dumps(payload, indent=2))
     return EXIT_OK
@@ -260,6 +273,8 @@ def cmd_constants(config: dict, out_dir, threads: int, seed_override) -> int:
     min_level = _min_level(config)
     budget_cap = _positive_int(config, "budget_cap", minimum=1,
                                default=multiscale.DEFAULT_BUDGET_CAP)
+    if "abar_samples" in config:
+        n_ab = _positive_int(config, "abar_samples", minimum=2)
 
     field = generate(spec, d, level)
     cube = field.cube
@@ -269,7 +284,6 @@ def cmd_constants(config: dict, out_dir, threads: int, seed_override) -> int:
     # Reference matrix for the defect: annealed estimate when requested,
     # otherwise this realization's own top-scale Dirichlet matrix.
     if "abar_samples" in config:
-        n_ab = _positive_int(config, "abar_samples", minimum=2)
         record = flow_mod.run_flow(spec, d, level, n_ab, workers=threads)
         abar = record.abar[level] * np.eye(d)
     else:
@@ -305,6 +319,9 @@ def cmd_besov(config: dict, out_dir, threads: int, seed_override) -> int:
     kind = data["kind"]
     if kind not in ("ring", "positive"):
         raise ConfigError(f"data.kind must be 'ring' or 'positive', got {kind!r}")
+    if kind == "positive" and "min_level" in config:
+        raise ConfigError("min_level does not apply to data.kind 'positive', "
+                          "whose sum stops at the unit scale")
     m = _positive_int(data, "level")
     v = _positive_int(data, "value_dimension", minimum=1, default=1)
     n = 3 ** m

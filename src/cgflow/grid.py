@@ -92,6 +92,18 @@ def subcubes(ambient: TriadicCube, level: int) -> list[TriadicCube]:
     return out
 
 
+def group_blocks(a: np.ndarray, dimension: int, side: int) -> np.ndarray:
+    """The first `dimension` axes of `a`, of length n each, grouped into the
+    aligned cubic blocks of `side`: shape (n // side,)*d + (side^d,) +
+    a.shape[d:], each block's cells in C order over their coordinates."""
+    count = a.shape[0] // side
+    rest = a.shape[dimension:]
+    grouped = a.reshape((count, side) * dimension + rest)
+    axes = tuple(range(0, 2 * dimension, 2)) + tuple(range(1, 2 * dimension, 2))
+    grouped = grouped.transpose(axes + tuple(range(2 * dimension, grouped.ndim)))
+    return grouped.reshape((count,) * dimension + (side ** dimension,) + rest)
+
+
 def check_spd_array(arr: np.ndarray, what: str = "cell matrices") -> None:
     """Validate a stacked (..., d, d) array of SPD matrices: finite,
     symmetric to 1e-12 relative, positive definite.  A stack whose

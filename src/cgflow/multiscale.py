@@ -14,17 +14,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapacityError, ParameterError
-from .grid import CoefficientField, TriadicCube
+from .grid import CoefficientField, TriadicCube, group_blocks
 # coarse_pair stays in this namespace: perfbench/tracing.py wraps it here.
 from .coarse import CoarseGrainedPair, coarse_pair, level_pairs  # noqa: F401
 
 INF = math.inf
 DEFAULT_BUDGET_CAP = 2_000_000
-# Elements of window data held at once by besov_positive's slab reduction.
-_SLAB_ELEMENTS = 2 ** 16
 
 
 def c_exp(u: float) -> float:
@@ -81,19 +78,6 @@ def _as_vector_grid(f: np.ndarray, dimension: int) -> np.ndarray:
     return f
 
 
-def _coarsen_mean(f: np.ndarray, dimension: int) -> np.ndarray:
-    """Average vector cell data over aligned 3^d blocks, reducing the side by 3."""
-    n = f.shape[0]
-    v = f.shape[-1]
-    shape = []
-    for _ in range(dimension):
-        shape.extend([n // 3, 3])
-    shape.append(v)
-    g = f.reshape(shape)
-    axes = tuple(2 * i + 1 for i in range(dimension))
-    return g.mean(axis=axes)
-
-
 def _scale_sum(a, u: float, q: float, min_level=0) -> float:
     """(sum_k (3^(u*k) a_k)^q)^(1/q) over the levels k = 0..len(a)-1, or the
     max at q = inf.  The sub-unit levels k in [min_level, -1] repeat a_0 and are
@@ -139,60 +123,51 @@ def besov_ring(f, dimension: int, s: float, p: float, q: float,
         else:
             inner.append(float(np.mean(norms ** p) ** (1.0 / p)))
         if k < m:
-            g = _coarsen_mean(g, dimension)
+            g = group_blocks(g, dimension, 3).mean(axis=dimension)
     return _finite_seminorm(_scale_sum(inner, s, q, min_level))
 
 
-def _window_oscillation(g: np.ndarray, dimension: int, side: int, step: int,
-                        p: float) -> float:
-    """Average over the cubic windows of `side` cells at stride `step` of the
-    window mean of |g - window mean|^p, reduced a slab of window rows at a time
-    so memory stays near _SLAB_ELEMENTS whatever the window count."""
-    windows = sliding_window_view(g, (side,) * dimension, axis=tuple(range(dimension)))
-    windows = windows[(slice(None, None, step),) * dimension]
-    # windows: (positions,)*d + (v,) + (side,)*d, all of one size.
-    cell_axes = tuple(range(dimension + 1, 2 * dimension + 1))
-    rows = max(1, _SLAB_ELEMENTS // windows[0].size)
+def _oscillation(g: np.ndarray, dimension: int, k: int, p: float) -> float:
+    """The mean over the level-k windows of the window mean of
+    |g - window mean|^p.  A window is 3 sub-blocks per axis at a stride of
+    one sub-block: at k >= 1 an aligned block of 3^(k-1) cells, at k = 0 a
+    third of a cell.  Each class of windows is a weighted sum of shifted
+    slices of the cells grouped by sub-block, weight w standing for w
+    sub-blocks: at k >= 1 one class of 3^d unit-weight slices; at k = 0 one
+    class per residue r in {0, 1, 2}^d of the first refined index 3c + r of
+    a window, which along an axis covers cell c 3 - r times and cell c + 1
+    r times."""
+    d = dimension
+    blocks = group_blocks(g, d, 3 ** (k - 1) if k else 1)
+    means = blocks.mean(axis=d)
+    n = blocks.shape[0]
+    if k:
+        axis_classes = [[(slice(o, n - 2 + o), 1) for o in range(3)]]
+    else:
+        axis_classes = [[(slice(None), 3)], [(slice(0, -1), 2), (slice(1, None), 1)],
+                        [(slice(0, -1), 1), (slice(1, None), 2)]]
     total = 0.0
-    for lo in range(0, windows.shape[0], rows):
-        slab = windows[lo:lo + rows]
-        dev = np.linalg.norm(slab - slab.mean(axis=cell_axes, keepdims=True),
-                             axis=dimension)
-        total += float(np.sum(dev ** p))
-    return total / (windows.size // windows.shape[dimension])
-
-
-def _unit_oscillation(g: np.ndarray, dimension: int, p: float) -> float:
-    """_window_oscillation at k = 0 without the refined grid: the mean over
-    the (3n - 2)^d windows of 3 refined cells per axis (refinement 3, stride
-    1) of the window mean of |g - window mean|^p, from the n^d cells.  Along
-    an axis a window starting at refined index 3c + r covers cell c 3 - r
-    times and cell c + 1 r times, so each residue class r in {0, 1, 2}^d is
-    a weighted sum of at most 2^d shifted slices of the cell grid: 5^d - 1
-    slice terms in all, as the class r = 0 is a single cell and adds
-    nothing."""
-    n = g.shape[0]
-    total = 0.0
-    for residue in itertools.product(range(3), repeat=dimension):
-        if not any(residue):
-            continue
-        axes = [[(slice(None), 3)] if r == 0 else
-                [(slice(0, n - 1), 3 - r), (slice(1, n), r)] for r in residue]
-        terms = [(math.prod(w for _, w in part), g[tuple(sl for sl, _ in part)])
-                 for part in itertools.product(*axes)]
-        mean = sum(w * cells for w, cells in terms) / 3 ** dimension
-        for w, cells in terms:
-            dev = np.square(cells - mean).sum(axis=-1)
+    for classes in itertools.product(axis_classes, repeat=d):
+        terms = [(math.prod(w for _, w in part), tuple(sl for sl, _ in part))
+                 for part in itertools.product(*classes)]
+        if len(terms) == 1:
+            continue  # a window inside one cell does not oscillate
+        mean = sum(w * means[sl] for w, sl in terms) / 3 ** d
+        for w, sl in terms:
+            dev = np.square(blocks[sl] - mean[..., None, :]).sum(axis=-1)
             total += w * float(np.sum(dev ** (p / 2)))
-    return total / ((3 * n - 2) ** dimension * 3 ** dimension)
+    windows = (n - 2 if k else 3 * n - 2) ** d
+    return total / (windows * 3 ** d * blocks.shape[d])
 
 
 def besov_positive(g, dimension: int, s: float, p: float, q: float) -> float:
     """Positive Besov seminorm with centered block oscillations; blocks of side
-    3^k live on the half-step offset grid 3^(k-1) Z^d.  At k = 0 each block
-    is a window of side 3 at stride 1 on the grid refined by 3 per axis,
-    reduced on the cell lattice (_unit_oscillation); at k >= 1 it is a union
-    of whole cells (side 3^k, stride 3^(k-1)), reduced in bounded slabs.
+    3^k live on the half-step offset grid 3^(k-1) Z^d.  Every level is one
+    reduction over weighted shifted slices of sub-block arrays
+    (_oscillation): at k >= 1 a block is 3^d aligned blocks of 3^(k-1)
+    cells, at k = 0 a window of side 3 at stride 1 on the grid refined by 3
+    per axis, summed on the cell lattice with no refined copy.  No
+    temporary exceeds a few copies of the input.
     The k-sum truncates at the unit scale: centered averages of
     cell-constant data carry no sub-unit contribution under the lattice
     cutoff convention."""
@@ -208,10 +183,7 @@ def besov_positive(g, dimension: int, s: float, p: float, q: float) -> float:
     if n != 3 ** m:
         raise ParameterError(f"cell data side {n} is not a power of 3")
 
-    inner = [_unit_oscillation(g, dimension, p)] + [
-        _window_oscillation(g, dimension, 3 ** k, 3 ** (k - 1), p)
-        for k in range(1, m + 1)]
-    inner = [a ** (1.0 / p) for a in inner]
+    inner = [_oscillation(g, dimension, k, p) ** (1.0 / p) for k in range(m + 1)]
     return _finite_seminorm(_scale_sum(inner, -s, q))
 
 

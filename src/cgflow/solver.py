@@ -25,7 +25,7 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .grid import CoefficientField, TriadicCube
+from .grid import CoefficientField, TriadicCube, group_blocks
 
 
 @dataclass(frozen=True)
@@ -505,9 +505,7 @@ class CubeOperator:
         self._avg_grad = avg_grad
 
         # Cells grouped by subcube, each group in C order over its coords.
-        grouped = field.cells_in(cube).reshape((count, side) * d + (d, d))
-        axes = tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))
-        cells = grouped.transpose(axes + (2 * d, 2 * d + 1)).reshape(-1, d, d)
+        cells = group_blocks(field.cells_in(cube), d, side).reshape(-1, d, d)
         self.cell_matrices = cells
 
         # The nodes of each subcube form one (side + 1)^d grid in C order;

@@ -340,6 +340,52 @@ def _with_literal(config, literal, path=()):
     return json.dumps(config).replace('"LITERAL"', literal)
 
 
+def test_besov_positive_rejects_min_level(tmp_path, capsys):
+    # The positive seminorm has no sub-unit tail to truncate, so the key is
+    # an error, even when its value is malformed.
+    for value in ("garbage", -2):
+        cfg = write_config(tmp_path, "b.json", dict(
+            BESOV_RING, min_level=value,
+            data={"kind": "positive", "level": 1, "cells": [1.0, 2.0, 4.0]}))
+        assert main(["besov", "--config", cfg]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "min_level" in err["message"]
+
+
+@pytest.mark.parametrize("command, config", [
+    ("flow", dict(FLOW_1D, pigeonhole={"delta": 0.5})),
+    ("flow", dict(FLOW_1D, pigeonhole={"delta": "x", "sigma": 0.5})),
+    ("flow", dict(FLOW_1D, pigeonhole={"delta": 0.9, "sigma": 0.5})),
+    ("flow", dict(FLOW_1D, pigeonhole={"delta": 0.5, "sigma": 1.5})),
+    ("flow", dict(FLOW_1D, pigeonhole={"delta": 0.5, "sigma": 0.5, "h": 0})),
+    # The lemma needs 3 scales at delta = sigma = 1/2; the run has 2.
+    ("flow", dict(FLOW_1D, pigeonhole={"delta": 0.5, "sigma": 0.5})),
+    ("flow", dict(FLOW_1D, find_scale={})),
+    ("flow", dict(FLOW_1D, find_scale={"sigma": 0.9})),
+    ("flow", dict(SWEEP_1D, sweep={"thetas": [4, 16], "sigma": 0.9})),
+    ("flow", dict(SWEEP_1D, sweep={"thetas": [4, 0.5], "sigma": 0.5})),
+    ("constants", dict(CONSTANTS_2D, abar_samples=1)),
+    ("coarse-grain", dict(COARSE_1D, cubes=[{"level": 0, "offset": [0]},
+                                            {"level": 0, "offset": [3]}])),
+    ("coarse-grain", dict(COARSE_1D, cubes=[{"level": 0, "offset": [0, 0]}])),
+])
+def test_config_errors_come_before_any_field_is_generated(
+        tmp_path, capsys, monkeypatch, command, config):
+    calls = []
+
+    def generate(*args):
+        calls.append(args)
+        return cgflow.grid.generate(*args)
+
+    monkeypatch.setattr(cgflow.cli, "generate", generate)
+    monkeypatch.setattr(cgflow.flow, "generate", generate)
+    cfg = write_config(tmp_path, "c.json", config)
+    assert main([command, "--config", cfg, "--threads", "1"]) == 2
+    assert calls == []
+    assert json.loads(capsys.readouterr().err)["exit_code"] == 2
+
+
 @pytest.mark.parametrize("command, text", [
     ("besov", _with_literal(BESOV_RING, "1e999", ("q",))),
     ("besov", _with_literal(besov_data(level=1, cells=[]), "[1e999, 1.0, 2.0]",
@@ -644,6 +690,22 @@ def test_besov_command_matches_the_library(tmp_path, capsys, kind, q, value):
                      math.inf if q == "inf" else float(q))
     assert out == {"kind": kind, "s": 0.5, "p": 2, "q": q, "value": expected}
     assert expected > 0
+
+
+def test_besov_positive_3d_level_3(tmp_path, capsys):
+    # 27^3 seeded lognormal cells, for p = 2 and p = 3: finite values >= 0,
+    # and the p = 2 value no larger than the p = 3 one (power means are
+    # monotone in p).
+    cells = np.random.default_rng(3).lognormal(0.0, 1.0, 27 ** 3).tolist()
+    values = {}
+    for p in (2, 3):
+        cfg = write_config(tmp_path, f"besov_p{p}.json", {
+            "dimension": 3, "s": 0.25, "p": p, "q": 2,
+            "data": {"kind": "positive", "level": 3, "cells": cells}})
+        assert main(["besov", "--config", cfg, "--threads", "1"]) == 0
+        values[p] = json.loads(capsys.readouterr().out)["value"]
+    assert all(math.isfinite(v) and v >= 0 for v in values.values())
+    assert values[2] <= values[3]
 
 
 def test_verify_passes(tmp_path, capsys):

@@ -24,12 +24,7 @@ from cgflow import (
 )
 from cgflow.coarse import mean_j
 from cgflow.errors import CapacityError, ParameterError
-from cgflow.multiscale import (
-    _unit_oscillation,
-    _window_oscillation,
-    c_exp,
-    defect_quadratic_forms,
-)
+from cgflow.multiscale import _oscillation, c_exp, defect_quadratic_forms
 from cgflow.solver import banded_cost
 
 INF = math.inf
@@ -182,7 +177,7 @@ def test_positive_vanishes_on_constants():
 
 def test_positive_matches_refined_grid_oracle():
     rng = np.random.default_rng(4)
-    for d, m, v in ((1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 1, 2), (3, 1, 1)):
+    for d, m, v in ((1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 1, 2), (3, 1, 1), (2, 2, 2)):
         g = rng.standard_normal((3 ** m,) * d + ((v,) if v > 1 else ()))
         for s, p, q in ((0.25, 2.0, 2.0), (0.4, 2.0, 1.0), (0.3, 2.0, INF),
                         (0.25, 1.0, 2.0), (0.3, 3.0, 1.0), (0.4, 3.0, INF)):
@@ -192,8 +187,9 @@ def test_positive_matches_refined_grid_oracle():
 
 
 def test_unit_level_matches_refined_copy():
-    # The unit level's windows, summed over the cell lattice, against the
-    # sliding windows on the copy refined 3 times per axis.
+    # The unit level's windows, summed over the cell lattice, against level
+    # 1 of the copy refined 3 times per axis: the same windows, as unit-weight
+    # slices of one-cell sub-blocks.
     rng = np.random.default_rng(9)
     for d, top in ((1, 3), (2, 3), (3, 2)):
         for m, v in itertools.product(range(top + 1), (1, 2)):
@@ -202,13 +198,13 @@ def test_unit_level_matches_refined_copy():
             for ax in range(d):
                 refined = np.repeat(refined, 3, axis=ax)
             for p in (1.0, 1.5, 2.0, 3.0):
-                ref = _window_oscillation(refined, d, 3, 1, p)
-                assert _unit_oscillation(g, d, p) == pytest.approx(ref, rel=1e-12)
+                ref = _oscillation(refined, d, 1, p)
+                assert _oscillation(g, d, 0, p) == pytest.approx(ref, rel=1e-12)
 
 
 def test_positive_memory_is_bounded_in_3d():
-    # The unchunked window form of this call holds ~450 MiB at once, and the
-    # refined copy for its unit level 10.5 MiB; the input is 0.15 MiB.
+    # The input is 0.15 MiB.  The traced peak was 1.93 MiB with sliding
+    # windows reduced in slabs, and is 0.88 MiB with the sub-block slices.
     g = np.random.default_rng(12).lognormal(0.0, 1.0, size=(27,) * 3)
     tracemalloc.start()
     try:
@@ -216,7 +212,7 @@ def test_positive_memory_is_bounded_in_3d():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
+    assert peak < 1.5 * 2 ** 20
 
 
 def test_positive_scales_linearly():
